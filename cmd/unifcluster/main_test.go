@@ -7,10 +7,13 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/unifdist/unifdist/internal/cluster"
 )
 
 func TestRunPipeSmoke(t *testing.T) {
@@ -280,7 +283,7 @@ func metricValue(body, name string) (float64, bool) {
 // TestObsServerLiveScrape is the telemetry-plane smoke: a TCP-loopback run
 // with -obs-addr is scraped mid-flight — /metrics must show live vote
 // counts and a nonzero votes/sec rate gauge, /runz and /healthz must
-// answer — and the run document's report must be byte-identical to an
+// answer — and the run document's Outcome must equal that of an
 // identically-configured run without the obs server.
 func TestObsServerLiveScrape(t *testing.T) {
 	addrCh := make(chan string, 1)
@@ -358,28 +361,14 @@ func TestObsServerLiveScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The same configuration without the obs server must produce a
-	// byte-identical report: telemetry export never touches verdicts.
+	// The same configuration without the obs server must produce the
+	// same Outcome: telemetry export never touches verdicts.
 	var plainOut bytes.Buffer
 	if err := run(common, &plainOut); err != nil {
 		t.Fatal(err)
 	}
-	report := func(raw []byte) json.RawMessage {
-		var doc struct {
-			Results struct {
-				Report json.RawMessage `json:"report"`
-			} `json:"results"`
-		}
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Fatalf("run document not parseable: %v", err)
-		}
-		if len(doc.Results.Report) == 0 {
-			t.Fatal("run document has no report")
-		}
-		return doc.Results.Report
-	}
-	if obsRep, plainRep := report(obsOut.Bytes()), report(plainOut.Bytes()); !bytes.Equal(obsRep, plainRep) {
-		t.Fatalf("obs run report diverged from plain run:\nobs:   %s\nplain: %s", obsRep, plainRep)
+	if obsRep, plainRep := reportOutcome(t, obsOut.Bytes()), reportOutcome(t, plainOut.Bytes()); !reflect.DeepEqual(obsRep, plainRep) {
+		t.Fatalf("obs run outcome diverged from plain run:\nobs:   %+v\nplain: %+v", obsRep, plainRep)
 	}
 }
 
@@ -405,31 +394,24 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// reportSansStats extracts the report from a -json run document and
-// strips the transport stats, which legitimately differ between batched
-// and unbatched executions. Everything else must match byte for byte.
-func reportSansStats(t *testing.T, raw []byte) []byte {
+// reportOutcome extracts the report's Outcome from a -json run document.
+// The observed fields (early_trials, stats) legitimately differ between
+// runs of one session: at which vote a trial was fixed and how the votes
+// travelled depend on arrival order and transport shape.
+func reportOutcome(t *testing.T, raw []byte) cluster.Outcome {
 	t.Helper()
 	var doc struct {
 		Results struct {
-			Report map[string]json.RawMessage `json:"report"`
+			Report *cluster.Outcome `json:"report"`
 		} `json:"results"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("run document not parseable: %v", err)
 	}
-	if len(doc.Results.Report) == 0 {
+	if doc.Results.Report == nil {
 		t.Fatal("run document has no report")
 	}
-	delete(doc.Results.Report, "stats")
-	// early_trials records at which arriving vote each trial was fixed —
-	// scheduling bookkeeping that varies even between identical runs.
-	delete(doc.Results.Report, "early_trials")
-	out, err := json.Marshal(doc.Results.Report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return *doc.Results.Report
 }
 
 // TestBatchedMatchesUnbatchedTCP is the CI loopback smoke for the
@@ -454,8 +436,8 @@ func TestBatchedMatchesUnbatchedTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	if got, want := reportSansStats(t, batched.Bytes()), reportSansStats(t, plain.Bytes()); !bytes.Equal(got, want) {
-		t.Fatalf("batched report diverged from unbatched:\nbatched:   %s\nunbatched: %s", got, want)
+	if got, want := reportOutcome(t, batched.Bytes()), reportOutcome(t, plain.Bytes()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("batched outcome diverged from unbatched:\nbatched:   %+v\nunbatched: %+v", got, want)
 	}
 	var doc struct {
 		Provenance struct {
@@ -506,8 +488,8 @@ func TestAggTreeMatchesFlatStarTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	if got, want := reportSansStats(t, tree.Bytes()), reportSansStats(t, flat.Bytes()); !bytes.Equal(got, want) {
-		t.Fatalf("tree report diverged from flat star:\ntree: %s\nflat: %s", got, want)
+	if got, want := reportOutcome(t, tree.Bytes()), reportOutcome(t, flat.Bytes()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tree outcome diverged from flat star:\ntree: %+v\nflat: %+v", got, want)
 	}
 	var doc struct {
 		Provenance struct {

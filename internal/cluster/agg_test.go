@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"io"
+	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -59,8 +61,9 @@ func TestTreeSketchMatchesReference(t *testing.T) {
 
 func TestTreeMatchesFlatStarExactly(t *testing.T) {
 	// Beyond matching the reference, the tree must reproduce the flat
-	// star's full report: verdicts, rejects, votes, missing — while the
-	// root hears about every single vote only through partial frames.
+	// star's whole Outcome — verdicts, rejects, votes, missing, quorum
+	// accounting — while the root hears about every single vote only
+	// through partial frames.
 	nw := thresholdNetwork(t, 64, 60)
 	d := dist.NewTwoBump(64, 1.0, 4)
 	cfg := Config{Trials: 10, BaseSeed: 1234}
@@ -72,13 +75,8 @@ func TestTreeMatchesFlatStarExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tr := 0; tr < cfg.Trials; tr++ {
-		if tree.Verdicts[tr] != flat.Verdicts[tr] || tree.Rejects[tr] != flat.Rejects[tr] ||
-			tree.Votes[tr] != flat.Votes[tr] || tree.Missing[tr] != flat.Missing[tr] {
-			t.Errorf("trial %d: tree (%v, %d, %d, %d) vs flat (%v, %d, %d, %d)", tr,
-				tree.Verdicts[tr], tree.Rejects[tr], tree.Votes[tr], tree.Missing[tr],
-				flat.Verdicts[tr], flat.Rejects[tr], flat.Votes[tr], flat.Missing[tr])
-		}
+	if !reflect.DeepEqual(tree.Outcome, flat.Outcome) {
+		t.Errorf("tree outcome diverged from flat star:\n tree %+v\n flat %+v", tree.Outcome, flat.Outcome)
 	}
 	if tree.Stats.PartialFrames == 0 {
 		t.Error("tree root folded no partial frames")
@@ -96,7 +94,7 @@ func TestTreeFaultDropMatchesFlatStar(t *testing.T) {
 	// Fault streams are keyed by (node, attempt) alone — independent of
 	// the dial target — so a lossy tree run must lose exactly the votes
 	// the lossy flat star loses, and the quorum fallback must land on the
-	// identical verdicts and per-trial missing counts.
+	// identical Outcome: verdicts, per-trial votes and missing counts.
 	nw := thresholdNetwork(t, 64, 60)
 	d := dist.NewTwoBump(64, 1.0, 4)
 	cfg := Config{Trials: 10, BaseSeed: 2}
@@ -113,16 +111,9 @@ func TestTreeFaultDropMatchesFlatStar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tree.MissingVotes != flat.MissingVotes {
-			t.Errorf("depth %d: tree lost %d votes, flat lost %d", depth, tree.MissingVotes, flat.MissingVotes)
-		}
-		for tr := 0; tr < cfg.Trials; tr++ {
-			if tree.Verdicts[tr] != flat.Verdicts[tr] || tree.Missing[tr] != flat.Missing[tr] ||
-				tree.Rejects[tr] != flat.Rejects[tr] {
-				t.Errorf("depth %d trial %d: tree (%v, %d rejects, %d missing) vs flat (%v, %d, %d)",
-					depth, tr, tree.Verdicts[tr], tree.Rejects[tr], tree.Missing[tr],
-					flat.Verdicts[tr], flat.Rejects[tr], flat.Missing[tr])
-			}
+		if !reflect.DeepEqual(tree.Outcome, flat.Outcome) {
+			t.Errorf("depth %d: tree outcome diverged from flat star:\n tree %+v\n flat %+v",
+				depth, tree.Outcome, flat.Outcome)
 		}
 	}
 }
@@ -226,33 +217,39 @@ func TestTreeDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// fakeAggConn dials a referee and speaks the child-aggregator protocol by
-// hand: AggHello, then the given frames. It returns the session verdict.
-func fakeAggSession(t *testing.T, rf *Referee, l *pipeListener, hello *wire.AggHello, frames []wire.Frame) (*Report, error) {
+// fakePeerSession runs serve on a pipe listener and speaks the peer
+// protocol to it by hand: hello (a Hello or an AggHello), then frames,
+// on one connection; then each closer stream on a fresh connection of
+// its own. A host terminates a connection on a protocol violation, which
+// closes the pipe under the writer: the rest of that stream is dropped,
+// as a real peer's would be. Streams are written one after another, and
+// a pipe write returns only once the host read it. It returns serve's
+// result.
+func fakePeerSession(t *testing.T, serve func(net.Listener) (*Report, error), hello wire.Frame, frames []wire.Frame, closers ...[]wire.Frame) (*Report, error) {
 	t.Helper()
+	l := NewPipeListener()
 	done := make(chan struct{})
 	var rep *Report
 	var err error
 	go func() {
 		defer close(done)
-		rep, err = rf.Serve(l)
+		rep, err = serve(l)
 	}()
-	conn, derr := l.Dial()
-	if derr != nil {
-		t.Fatal(derr)
-	}
-	defer conn.Close()
-	if werr := wire.WriteFrame(conn, hello); werr != nil {
-		t.Fatal(werr)
-	}
-	for _, f := range frames {
-		if werr := wire.WriteFrame(conn, f); werr != nil {
-			t.Fatal(werr)
+	for _, stream := range append([][]wire.Frame{append([]wire.Frame{hello}, frames...)}, closers...) {
+		conn, derr := l.Dial()
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		defer conn.Close()
+		// Drain the verdict broadcast so the host's bounded best-effort
+		// write never has to wait out its deadline on a synchronous pipe.
+		go io.Copy(io.Discard, conn)
+		for _, f := range stream {
+			if wire.WriteFrame(conn, f) != nil {
+				break
+			}
 		}
 	}
-	// Drain the verdict broadcast so the referee's bounded best-effort
-	// write never has to wait out its deadline on a synchronous pipe.
-	go io.Copy(io.Discard, conn)
 	<-done
 	return rep, err
 }
@@ -269,7 +266,7 @@ func TestDuplicatedPartialsFoldOnce(t *testing.T) {
 		entries[tr] = wire.PartialEntry{Trial: uint32(tr), Votes: uint32(k), Rejects: 1}
 	}
 	pv := &wire.PartialVerdict{Agg: 3, Entries: entries}
-	rep, err := fakeAggSession(t, rf, NewPipeListener(),
+	rep, err := fakePeerSession(t, rf.Serve,
 		&wire.AggHello{Agg: 3, K: uint32(k), Trials: uint32(cfg.Trials), Lo: 0, Hi: uint32(k)},
 		[]wire.Frame{pv, pv, &wire.Done{Node: 3}})
 	if err != nil {
@@ -298,7 +295,7 @@ func TestPartialExceedingWindowRejected(t *testing.T) {
 	oversized := &wire.PartialVerdict{Agg: 1, Entries: []wire.PartialEntry{
 		{Trial: 0, Votes: 3, Rejects: 0}, // window [0, 2) holds 2 votes
 	}}
-	rep, err := fakeAggSession(t, rf, NewPipeListener(),
+	rep, err := fakePeerSession(t, rf.Serve,
 		&wire.AggHello{Agg: 1, K: uint32(k), Trials: uint32(cfg.Trials), Lo: 0, Hi: 2},
 		[]wire.Frame{oversized, &wire.Done{Node: 1}})
 	if err != nil {
@@ -331,7 +328,7 @@ func TestQuorumPolicyOnSilentSubtree(t *testing.T) {
 	}
 
 	cfg := Config{Trials: 2, BaseSeed: 6, Deadline: 5 * time.Second}
-	rep, err := fakeAggSession(t, NewReferee(k, nw.Rule(), cfg), NewPipeListener(),
+	rep, err := fakePeerSession(t, NewReferee(k, nw.Rule(), cfg).Serve,
 		&wire.AggHello{Agg: 1, K: uint32(k), Trials: 2, Lo: 0, Hi: uint32(k)}, partial())
 	if err != nil {
 		t.Fatalf("observed quorum rejected a lossy subtree: %v", err)
@@ -346,7 +343,7 @@ func TestQuorumPolicyOnSilentSubtree(t *testing.T) {
 	}
 
 	cfg.Policy = QuorumStrict
-	rep, err = fakeAggSession(t, NewReferee(k, nw.Rule(), cfg), NewPipeListener(),
+	rep, err = fakePeerSession(t, NewReferee(k, nw.Rule(), cfg).Serve,
 		&wire.AggHello{Agg: 1, K: uint32(k), Trials: 2, Lo: 0, Hi: uint32(k)}, partial())
 	if err == nil {
 		t.Fatal("strict quorum accepted a lossy subtree")
@@ -406,5 +403,103 @@ func TestAggregatorDrainsPartialOnDeadline(t *testing.T) {
 	if rep.Stats.PartialVotes != rootCfg.Trials {
 		t.Errorf("root folded %d partial votes, want %d (node 0's drained sums)",
 			rep.Stats.PartialVotes, rootCfg.Trials)
+	}
+}
+
+// TestHostilePeerTerminated pins the one violation policy every host
+// shares through Handshake/Peer.Apply: a frame that breaks the protocol
+// counts exactly one bad frame and terminates its connection, so nothing
+// the peer sends afterwards folds — on the root referee and on an
+// aggregator alike. Each stream tries to end with its own Done; fresh
+// well-behaved streams then complete the window.
+func TestHostilePeerTerminated(t *testing.T) {
+	const k, trials = 2, 2
+	cfg := Config{Trials: trials, BaseSeed: 1, Deadline: 10 * time.Second}
+	leaf := &wire.Hello{Node: 0, K: k, Trials: trials}
+	agg := &wire.AggHello{Agg: 7, K: k, Trials: trials, Lo: 0, Hi: k}
+	vote := func(trial, node uint32) *wire.Vote { return &wire.Vote{Trial: trial, Node: node} }
+	partial := func(id, trial uint32) *wire.PartialVerdict {
+		return &wire.PartialVerdict{Agg: id, Entries: []wire.PartialEntry{{Trial: trial, Votes: k}}}
+	}
+	leafClosers := [][]wire.Frame{
+		{&wire.Hello{Node: 0, K: k, Trials: trials}, &wire.Done{Node: 0}},
+		{&wire.Hello{Node: 1, K: k, Trials: trials}, &wire.Done{Node: 1}},
+	}
+	aggClosers := [][]wire.Frame{{agg, &wire.Done{Node: 7}}}
+	cases := []struct {
+		name      string
+		hello     wire.Frame
+		frames    []wire.Frame // legitimate frames, the violation, then a legitimate frame
+		closers   [][]wire.Frame
+		wantVotes int // folded before the violation
+	}{
+		{"smuggled vote", leaf,
+			[]wire.Frame{vote(0, 0), vote(0, 1), vote(1, 0), &wire.Done{Node: 0}}, leafClosers, 1},
+		{"second hello switches node", leaf,
+			[]wire.Frame{vote(0, 0), &wire.Hello{Node: 1, K: k, Trials: trials}, vote(1, 1), &wire.Done{Node: 1}}, leafClosers, 1},
+		{"batch smuggles another node", leaf,
+			[]wire.Frame{vote(0, 0), &wire.VoteBatch{Votes: []wire.BatchVote{{Trial: 1, Node: 0}, {Trial: 1, Node: 1}}},
+				vote(1, 0), &wire.Done{Node: 0}}, leafClosers, 1},
+		{"partial from another aggregator", agg,
+			[]wire.Frame{partial(7, 0), partial(8, 1), partial(7, 1), &wire.Done{Node: 7}}, aggClosers, k},
+		{"done for another node", leaf,
+			[]wire.Frame{vote(0, 0), &wire.Done{Node: 1}, vote(1, 0), &wire.Done{Node: 0}}, leafClosers, 1},
+	}
+	rule := zeroround.ANDRule{}
+	hosts := []struct {
+		name  string
+		serve func(l net.Listener) (*Report, *voteSink, error)
+	}{
+		{"referee", func(l net.Listener) (*Report, *voteSink, error) {
+			rf := NewReferee(k, rule, cfg)
+			rep, err := rf.Serve(l)
+			return rep, &rf.voteSink, err
+		}},
+		{"aggregator", func(l net.Listener) (*Report, *voteSink, error) {
+			rootL := NewPipeListener()
+			rf := NewReferee(k, rule, cfg)
+			var rep *Report
+			var rerr error
+			rootDone := make(chan struct{})
+			go func() {
+				defer close(rootDone)
+				rep, rerr = rf.Serve(rootL)
+			}()
+			a := &Aggregator{ID: 0, Lo: 0, Hi: k, K: k, Tier: 1, Dial: rootL.Dial, Config: cfg}
+			err := a.Serve(l)
+			<-rootDone
+			if err == nil {
+				err = rerr
+			}
+			return rep, &a.voteSink, err
+		}},
+	}
+	for _, tc := range cases {
+		for _, h := range hosts {
+			t.Run(tc.name+"/"+h.name, func(t *testing.T) {
+				var sink *voteSink
+				_, err := fakePeerSession(t, func(l net.Listener) (*Report, error) {
+					rep, s, err := h.serve(l)
+					sink = s
+					return rep, err
+				}, tc.hello, tc.frames, tc.closers...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sink.mu.Lock()
+				defer sink.mu.Unlock()
+				folded := 0
+				for _, v := range sink.votes {
+					folded += v
+				}
+				if sink.stats.BadFrames != 1 || folded != tc.wantVotes {
+					t.Fatalf("%d bad frames, %d votes folded; want 1 bad frame and only the %d votes before the violation",
+						sink.stats.BadFrames, folded, tc.wantVotes)
+				}
+				if sink.stats.DeadlineExpired {
+					t.Fatal("session ran into its deadline instead of completing")
+				}
+			})
+		}
 	}
 }

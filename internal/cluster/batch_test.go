@@ -13,19 +13,6 @@ import (
 	"github.com/unifdist/unifdist/internal/wire"
 )
 
-// sansStats strips the transport accounting, which legitimately differs
-// between batched and unbatched executions (frame counts, bytes, batch
-// tallies), and EarlyTrials, which records at which arriving vote a trial
-// was fixed — pure scheduling bookkeeping that varies even between two
-// unbatched runs. Everything else — verdicts, rejects, votes, missing,
-// quorum accounting — must be identical.
-func sansStats(r *Report) Report {
-	c := *r
-	c.Stats = RefereeStats{}
-	c.EarlyTrials = 0
-	return c
-}
-
 // TestBatchedMatchesReference pins the batched path to the in-process
 // indexed reference (RunAt), trial for trial, across batch sizes that
 // exercise single-flush, multi-flush and watermark-remainder shapes.
@@ -59,9 +46,9 @@ func TestBatchedMatchesUnbatchedExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(sansStats(got), sansStats(want)) {
-			t.Fatalf("batch=%d compress=%v: report diverged from unbatched:\n got %+v\nwant %+v",
-				cfg.Batch, cfg.Compress, sansStats(got), sansStats(want))
+		if !reflect.DeepEqual(got.Outcome, want.Outcome) {
+			t.Fatalf("batch=%d compress=%v: outcome diverged from unbatched:\n got %+v\nwant %+v",
+				cfg.Batch, cfg.Compress, got.Outcome, want.Outcome)
 		}
 		if got.Stats.BatchFrames == 0 || got.Stats.BatchedVotes != nw.K()*cfg.Trials {
 			t.Fatalf("batch=%d: stats claim %d batch frames / %d batched votes",
@@ -111,8 +98,8 @@ func TestBatchedFaultPlanMatchesUnbatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sansStats(got), sansStats(want)) {
-		t.Fatalf("batched faulty report diverged:\n got %+v\nwant %+v", sansStats(got), sansStats(want))
+	if !reflect.DeepEqual(got.Outcome, want.Outcome) {
+		t.Fatalf("batched faulty outcome diverged:\n got %+v\nwant %+v", got.Outcome, want.Outcome)
 	}
 	if got.Stats.DuplicateVotes != want.Stats.DuplicateVotes {
 		t.Fatalf("batched run deduplicated %d votes, unbatched %d",

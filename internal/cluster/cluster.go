@@ -228,6 +228,21 @@ func (c Config) queueDepth() int {
 
 // Report is the referee's account of one session.
 type Report struct {
+	Outcome
+	// EarlyTrials counts trials fixed by the rule's EarlyDecider before
+	// all their votes arrived: at which vote a trial was fixed depends on
+	// arrival order, so two runs of one session may differ here.
+	EarlyTrials int `json:"early_trials"`
+	// Stats aggregates transport-level accounting.
+	Stats RefereeStats `json:"stats"`
+}
+
+// Outcome is the deterministic part of a Report: what each trial decided
+// and on which votes. Runs of one session — flat star, aggregation tree,
+// service-hosted, batched or not, under the same seeded fault plan — have
+// reflect.DeepEqual Outcomes; EarlyTrials and Stats record how the run
+// got there.
+type Outcome struct {
 	// K and Trials echo the session shape.
 	K      int `json:"k"`
 	Trials int `json:"trials"`
@@ -242,13 +257,8 @@ type Report struct {
 	// Accepts counts accepting trials; MissingVotes sums Missing.
 	Accepts      int `json:"accepts"`
 	MissingVotes int `json:"missing_votes"`
-	// QuorumTrials counts trials decided by the quorum fallback;
-	// EarlyTrials counts trials fixed by the rule's EarlyDecider before
-	// all their votes arrived.
+	// QuorumTrials counts trials decided by the quorum fallback.
 	QuorumTrials int `json:"quorum_trials"`
-	EarlyTrials  int `json:"early_trials"`
-	// Stats aggregates transport-level accounting.
-	Stats RefereeStats `json:"stats"`
 }
 
 // ErrorRate returns the fraction of trials whose verdict differs from

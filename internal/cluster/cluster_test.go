@@ -313,7 +313,7 @@ func TestRefereeRejectsMismatchedHello(t *testing.T) {
 }
 
 func TestReportErrorRate(t *testing.T) {
-	r := &Report{Trials: 4, Verdicts: []bool{true, true, false, true}}
+	r := &Report{Outcome: Outcome{Trials: 4, Verdicts: []bool{true, true, false, true}}}
 	if got := r.ErrorRate(true); got != 0.25 {
 		t.Fatalf("ErrorRate(true) = %v, want 0.25", got)
 	}

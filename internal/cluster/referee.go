@@ -153,14 +153,14 @@ func (rf *Referee) finalize() (*Report, wire.Verdict, []net.Conn) {
 	defer rf.mu.Unlock()
 	rf.closed = true
 
-	rep := &Report{
+	rep := &Report{Outcome: Outcome{
 		K:        rf.k,
 		Trials:   rf.cfg.Trials,
 		Verdicts: make([]bool, rf.cfg.Trials),
 		Rejects:  append([]int(nil), rf.rejects...),
 		Votes:    append([]int(nil), rf.votes...),
 		Missing:  make([]int, rf.cfg.Trials),
-	}
+	}}
 	for t := 0; t < rf.cfg.Trials; t++ {
 		if !rf.decided[t] {
 			// Quorum fallback: decide from the votes that arrived; the

@@ -180,9 +180,11 @@ func (s *scheduler) worker() {
 	}
 }
 
-// apply decodes and folds one frame. A decode or protocol error
-// terminates the offending connection, exactly as the solo referee's
-// handler does; the session itself keeps running on its other peers.
+// apply decodes and folds one frame through Peer.Apply, the dispatch the
+// solo referee's handler drives too: a protocol violation counts one bad
+// frame and terminates the offending connection. A body that does not
+// decode terminates it as well. The session itself keeps running on its
+// other peers.
 func (s *scheduler) apply(sess *session, it *frameItem, sc *wire.DecodeScratch) {
 	f, tc, _, err := wire.DecodeBodySession(it.body, sc)
 	if err != nil {

@@ -187,16 +187,27 @@ func (s *Service) Serve(l net.Listener) error {
 		return fmt.Errorf("service: serve after Close")
 	}
 	s.l = l
-	s.mu.Unlock()
+	// Workers and the reaper start inside the critical section that
+	// checked closed, and every handler is counted under it too: a
+	// concurrent Close either refuses this Serve or finds them all
+	// registered before it shuts the scheduler down and waits.
 	s.sched.start(s.cfg.workers())
 	s.wg.Add(1)
+	s.mu.Unlock()
 	go s.reap()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return nil // listener closed: orderly shutdown
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return nil
+		}
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go s.handleConn(conn)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -41,16 +42,6 @@ func thresholdNetwork(t testing.TB, n, k int) *zeroround.Network {
 		t.Fatal(err)
 	}
 	return nw
-}
-
-// sansStats strips transport accounting and EarlyTrials, as the cluster
-// package's differential tests do: those fields legitimately differ
-// between transports (and the wire report intentionally omits them).
-func sansStats(r *cluster.Report) cluster.Report {
-	c := *r
-	c.Stats = cluster.RefereeStats{}
-	c.EarlyTrials = 0
-	return c
 }
 
 // startService runs a service over an in-memory listener and returns the
@@ -124,9 +115,9 @@ func TestConcurrentSessionsMatchSolo(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: solo run: %v", c.name, err)
 		}
-		if !reflect.DeepEqual(sansStats(got[i]), sansStats(want)) {
-			t.Errorf("%s: service report diverged from solo run:\n got %+v\nwant %+v",
-				c.name, sansStats(got[i]), sansStats(want))
+		if !reflect.DeepEqual(got[i].Outcome, want.Outcome) {
+			t.Errorf("%s: service outcome diverged from solo run:\n got %+v\nwant %+v",
+				c.name, got[i].Outcome, want.Outcome)
 		}
 		if !c.plan.Active() && !c.cfg.Sketch {
 			for tr := 0; tr < c.cfg.Trials; tr++ {
@@ -166,9 +157,9 @@ func TestLegacyPeersViaDefaultSession(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(sansStats(rep), sansStats(want)) {
+		if !reflect.DeepEqual(rep.Outcome, want.Outcome) {
 			t.Fatalf("batch=%d: legacy-peer session diverged from solo run:\n got %+v\nwant %+v",
-				cfg.Batch, sansStats(rep), sansStats(want))
+				cfg.Batch, rep.Outcome, want.Outcome)
 		}
 	}
 }
@@ -298,9 +289,9 @@ func TestReaperEvictsStalledSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sansStats(liveRep), sansStats(want)) {
+	if !reflect.DeepEqual(liveRep.Outcome, want.Outcome) {
 		t.Errorf("live session diverged while the reaper ran:\n got %+v\nwant %+v",
-			sansStats(liveRep), sansStats(want))
+			liveRep.Outcome, want.Outcome)
 	}
 	// The stalled session's report arrives once the reaper fires: every
 	// trial quorum-decided with all votes missing.
@@ -322,6 +313,32 @@ func TestReaperEvictsStalledSession(t *testing.T) {
 	defer c2.Close()
 	if got := reg.Gauge("svc.sessions_active").Value(); got != 2 {
 		t.Errorf("sessions_active = %v after reopen, want 2", got)
+	}
+}
+
+// TestCloseRightAfterServe races Close against a Serve that is still
+// starting (go svc.Serve(l); svc.Close() in a loop): Close must either refuse the Serve or find its workers and
+// reaper registered, so under -race neither the scheduler's nor the
+// service's WaitGroup sees an Add concurrent with its Wait, and Serve
+// always returns.
+func TestCloseRightAfterServe(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		svc := service.New(service.Config{})
+		served := make(chan error, 1)
+		go func() { served <- svc.Serve(cluster.NewPipeListener()) }()
+		// Sweep the interleavings: Close before Serve ran, while it is
+		// starting the workers and the reaper, and after.
+		for y := 0; y < i%4; y++ {
+			runtime.Gosched()
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-served:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Serve did not return after Close")
+		}
 	}
 }
 

@@ -70,17 +70,18 @@ func reportFrame(id uint32, rep *cluster.Report) *wire.SessionReport {
 // transport accounting — and QuorumTrials is recovered as the trials with
 // missing votes. EarlyTrials is not recoverable (an early-decided trial
 // with all votes present is indistinguishable from a fully-voted one) and
-// stays zero; byte-level comparisons against direct runs zero both sides.
+// stays zero. Both lie outside the Outcome, which is what comparisons
+// against direct runs check.
 func reportFromWire(sr *wire.SessionReport) *cluster.Report {
 	trials := len(sr.Verdicts)
-	rep := &cluster.Report{
+	rep := &cluster.Report{Outcome: cluster.Outcome{
 		K:        int(sr.K),
 		Trials:   trials,
 		Verdicts: sr.Verdicts,
 		Rejects:  make([]int, trials),
 		Votes:    make([]int, trials),
 		Missing:  make([]int, trials),
-	}
+	}}
 	for t := 0; t < trials; t++ {
 		rep.Rejects[t] = int(sr.Rejects[t])
 		rep.Votes[t] = int(sr.Votes[t])

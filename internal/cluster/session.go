@@ -1,14 +1,15 @@
-// Service surface of the referee: the multi-tenant session service
-// (internal/cluster/service) terminates the transport itself — one
-// listener multiplexing many sessions — so it cannot use Referee.Serve,
-// which owns a listener for exactly one session. Instead the service
-// routes each decoded frame to the referee of the frame's session
-// through the Peer API below: Handshake registers the connection's
-// identity, Apply folds its subsequent frames, and Decided/Finalize
-// expose the trigger/finalization halves Serve normally drives. Every
-// path lands in the same voteSink fold as a solo run, which is what
-// keeps a multiplexed session's report byte-identical (sans transport
-// stats) to its flat-star equivalent.
+// Frame dispatch for every host. A peer connection opens with one
+// handshake frame (Hello or AggHello) and then streams votes, batches,
+// partial sums and a Done marker. Handshake and Apply below are the only
+// code that interprets those frames: the Referee's and the Aggregator's
+// connection handler (voteSink.handle) drive them frame by frame, and
+// the multi-tenant service (internal/cluster/service), which terminates
+// the transport itself and multiplexes many sessions on one listener,
+// drives the same pair from its scheduler. A frame that violates the
+// protocol counts one bad frame and returns an error; every host then
+// terminates the connection, so nothing it sends afterwards folds. That
+// single path is what keeps a multiplexed session's Outcome identical to
+// its flat-star and tree equivalents.
 
 package cluster
 
@@ -20,117 +21,118 @@ import (
 	"github.com/unifdist/unifdist/internal/wire"
 )
 
-// Peer is one registered peer of a service-hosted referee: either a
-// direct leaf (Hello) or a child aggregator (AggHello). The zero Peer is
-// invalid; obtain one from Referee.Handshake.
+// Peer is one registered peer of a sink: either a direct leaf (Hello) or
+// a child aggregator (AggHello). The zero Peer is invalid; obtain one
+// from Handshake.
 type Peer struct {
-	rf   *Referee
+	s    *voteSink
 	node int      // leaf node ID, or -1 for aggregator peers
 	agg  *aggPeer // registered child aggregator, or nil
 	recv *obs.Counter
 }
 
 // Handshake validates and registers a peer's opening frame (Hello or
-// AggHello), mirroring exactly the checks the referee's own connection
-// handler applies. A failed handshake counts a bad frame and returns an
-// error; the caller should terminate the transport.
-func (rf *Referee) Handshake(f wire.Frame) (*Peer, error) {
+// AggHello). A failed handshake counts a bad frame and returns an error;
+// the caller terminates the transport. Handshake does not count the
+// frame in the transport stats: the connection handler does that itself,
+// the service counts it in its own queue metrics.
+func (s *voteSink) Handshake(f wire.Frame) (*Peer, error) {
 	switch m := f.(type) {
 	case *wire.Hello:
-		if int(m.K) != rf.k || int(m.Trials) != rf.cfg.Trials ||
-			int(m.Node) < rf.lo || int(m.Node) >= rf.hi || !rf.registerLeaf(int(m.Node)) {
-			rf.countBadFrame()
+		if int(m.K) != s.k || int(m.Trials) != s.cfg.Trials ||
+			int(m.Node) < s.lo || int(m.Node) >= s.hi || !s.registerLeaf(int(m.Node)) {
+			s.countBadFrame()
 			return nil, fmt.Errorf("cluster: hello rejected: node %d of k=%d trials=%d", m.Node, m.K, m.Trials)
 		}
-		p := &Peer{rf: rf, node: int(m.Node)}
-		if rf.reg != nil {
-			p.recv = rf.reg.Counter(rf.metricName(fmt.Sprintf("peer.%d.recv", p.node)))
+		p := &Peer{s: s, node: int(m.Node)}
+		if s.reg != nil {
+			p.recv = s.reg.Counter(s.metricName(fmt.Sprintf("peer.%d.recv", p.node)))
 		}
 		p.recv.Inc() // the Hello itself
 		return p, nil
 	case *wire.AggHello:
-		ap := rf.registerAgg(m)
+		ap := s.registerAgg(m)
 		if ap == nil {
-			rf.countBadFrame()
+			s.countBadFrame()
 			return nil, fmt.Errorf("cluster: agghello rejected: agg %d window [%d, %d)", m.Agg, m.Lo, m.Hi)
 		}
-		p := &Peer{rf: rf, node: -1, agg: ap}
-		if rf.reg != nil {
-			p.recv = rf.reg.Counter(rf.metricName(fmt.Sprintf("aggpeer.%d.recv", ap.id)))
+		p := &Peer{s: s, node: -1, agg: ap}
+		if s.reg != nil {
+			p.recv = s.reg.Counter(s.metricName(fmt.Sprintf("aggpeer.%d.recv", ap.id)))
 		}
 		p.recv.Inc() // the AggHello itself
 		return p, nil
 	default:
-		rf.countBadFrame()
+		s.countBadFrame()
 		return nil, fmt.Errorf("cluster: handshake frame type %d is not Hello or AggHello", f.Type())
 	}
 }
 
-// Apply folds one post-handshake frame from the peer into its referee —
-// the same validation, dedup and incremental-decision path a directly
-// served connection takes. wireBytes is the frame's on-wire size (body
-// plus length prefix) for the byte accounting. It returns done=true when
-// the frame was the peer's Done marker: the peer sends nothing further
-// and waits for the verdict. A returned error means the frame violated
-// the protocol (counted as a bad frame); the caller should terminate the
-// transport, as a mismatched handshake would.
+// Apply folds one post-handshake frame from the peer into its sink:
+// validation, dedup and the owner's incremental decision or completion
+// hook. wireBytes is the frame's on-wire size (body plus length prefix)
+// for the byte accounting. It returns done=true when the frame was the
+// peer's Done marker: the peer sends nothing further and waits for the
+// verdict. A returned error means the frame violated the protocol — a
+// second handshake, a frame naming another node or aggregator, or an
+// unexpected type — and was counted as one bad frame; the caller
+// terminates the transport.
 func (p *Peer) Apply(f wire.Frame, tc wire.TraceContext, wireBytes int) (bool, error) {
-	rf := p.rf
-	rf.mu.Lock()
-	rf.stats.Frames++
-	rf.stats.Bytes += int64(wireBytes)
-	rf.mu.Unlock()
-	rf.m.frames.Inc()
+	s := p.s
+	s.countFrame(wireBytes)
 	p.recv.Inc()
 
 	switch m := f.(type) {
 	case *wire.Vote:
 		if p.node < 0 || int(m.Node) != p.node {
-			rf.countBadFrame()
+			s.countBadFrame()
 			return false, fmt.Errorf("cluster: vote from node %d on peer %d", m.Node, p.node)
 		}
-		rf.apply(int(m.Trial), p.node, m.Reject, 0, 0, tc)
+		s.apply(int(m.Trial), p.node, m.Reject, 0, 0, tc)
 	case *wire.Sketch:
 		if p.node < 0 || int(m.Node) != p.node {
-			rf.countBadFrame()
+			s.countBadFrame()
 			return false, fmt.Errorf("cluster: sketch from node %d on peer %d", m.Node, p.node)
 		}
-		rf.apply(int(m.Trial), p.node, m.Collisions > 0, uint64(m.Samples), uint64(m.Collisions), tc)
+		// Single-collision vote derived server-side: reject iff the node
+		// saw any colliding pair.
+		s.apply(int(m.Trial), p.node, m.Collisions > 0, uint64(m.Samples), uint64(m.Collisions), tc)
 	case *wire.VoteBatch:
 		if p.node < 0 {
-			rf.countBadFrame()
+			s.countBadFrame()
 			return false, fmt.Errorf("cluster: vote batch on aggregator peer")
 		}
 		for i := range m.Votes {
 			if int(m.Votes[i].Node) != p.node {
-				rf.countBadFrame()
+				// A batch smuggling another node's votes is rejected whole.
+				s.countBadFrame()
 				return false, fmt.Errorf("cluster: batch smuggles node %d on peer %d", m.Votes[i].Node, p.node)
 			}
 		}
-		rf.applyBatch(m, p.node, tc)
+		s.applyBatch(m, p.node, tc)
 	case *wire.PartialVerdict:
 		if p.agg == nil || m.Agg != p.agg.id {
-			rf.countBadFrame()
+			s.countBadFrame()
 			return false, fmt.Errorf("cluster: partial from agg %d on peer", m.Agg)
 		}
-		rf.applyPartial(m, p.agg, tc)
+		s.applyPartial(m, p.agg, tc)
 	case *wire.Done:
 		if p.agg != nil {
 			if int(m.Node) != int(p.agg.id) {
-				rf.countBadFrame()
+				s.countBadFrame()
 				return false, fmt.Errorf("cluster: done from agg %d on peer %d", m.Node, p.agg.id)
 			}
-			rf.markDoneRange(p.agg)
+			s.markDoneRange(p.agg)
 		} else {
 			if int(m.Node) != p.node {
-				rf.countBadFrame()
+				s.countBadFrame()
 				return false, fmt.Errorf("cluster: done from node %d on peer %d", m.Node, p.node)
 			}
-			rf.markDone(p.node)
+			s.markDone(p.node)
 		}
 		return true, nil
 	default:
-		rf.countBadFrame()
+		s.countBadFrame()
 		return false, fmt.Errorf("cluster: unexpected frame type %d after handshake", f.Type())
 	}
 	return false, nil

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -12,8 +11,10 @@ import (
 )
 
 // voteSink is the connection-terminating half shared by the Referee and
-// the Aggregator: it accepts peer connections, validates and
-// deduplicates their frames, and folds votes into per-trial sums. What
+// the Aggregator: it accepts peer connections, runs each through the one
+// frame dispatch (Handshake, then Peer.Apply; see session.go), and folds
+// their deduplicated votes into per-trial sums. The multi-tenant service
+// reaches the same dispatch through a Referee's promoted Handshake. What
 // happens when a trial's tally advances is the owner's business — the
 // referee runs its incremental decision rule, an aggregator watches for
 // window completion — expressed through the onTrial hook, called under
@@ -159,12 +160,16 @@ func (s *voteSink) acceptLoop(l net.Listener, deadline time.Duration, wg *sync.W
 	}
 }
 
-// handle drains one connection's frame stream into the sink.
+// handle drives one connection through the shared frame dispatch: it
+// reads and decodes each frame, checks the session binding, keeps the
+// per-connection telemetry, and hands the first frame to Handshake and
+// every later one to Peer.Apply. Any error — transport, codec, session
+// or protocol — ends the connection: a violation counts one bad frame
+// and closes it. A Done marker releases the handler but leaves the
+// connection open for the verdict broadcast.
 func (s *voteSink) handle(conn net.Conn, end time.Time) {
 	conn.SetReadDeadline(end)
 	r := wire.NewReader(conn)
-	node := -1        // set by a leaf Hello
-	var peer *aggPeer // set by a child AggHello
 	frameBytes := s.reg.Histogram(s.metricName("frame_bytes"), obs.BytesBuckets())
 	s.reg.Gauge(s.metricName("peers_connected")).Add(1)
 	defer s.reg.Gauge(s.metricName("peers_connected")).Add(-1)
@@ -179,11 +184,11 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 			applyNS[t] = s.reg.Histogram(s.metricName("apply_ns."+name), obs.LatencyBuckets())
 		}
 	}
-	var peerRecv *obs.Counter // resolved after Hello identifies the peer
 	// Per-connection decode scratch: steady-state vote, batch and partial
 	// decoding reuses these buffers, so the hot loop does not allocate per
 	// frame.
 	var sc wire.DecodeScratch
+	var peer *Peer // set by the handshake frame
 	for {
 		body, err := r.ReadBody()
 		if err != nil {
@@ -191,6 +196,7 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 			// framing errors count as a bad frame, transport ends either way.
 			if !isClosedErr(err) {
 				s.countBadFrame()
+				conn.Close()
 			}
 			return
 		}
@@ -199,16 +205,11 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 			t0 = time.Now() //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
 		}
 		f, tc, sess, err := wire.DecodeBodySession(body, &sc)
-		if err != nil {
-			// Codec error: count it and end the transport, as before the
-			// read/decode split.
-			s.countBadFrame()
-			return
-		}
-		if sess != s.cfg.Session {
-			// A frame bound to another session (or a bare legacy frame on a
-			// session-bound sink) is a misdirected peer: terminate the
-			// transport so its votes cannot leak across sessions.
+		if err != nil || sess != s.cfg.Session {
+			// A codec error, or a frame bound to another session (or a bare
+			// legacy frame on a session-bound sink): terminate the
+			// transport so a misdirected peer's votes cannot leak across
+			// sessions.
 			s.countBadFrame()
 			conn.Close()
 			return
@@ -219,7 +220,8 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 		if vb, ok := f.(*wire.VoteBatch); ok && vb.Compressed {
 			ft = wire.TypeVoteBatchZ
 		}
-		if s.reg != nil && int(ft) < len(decodeNS) {
+		timed := s.reg != nil && int(ft) < len(decodeNS)
+		if timed {
 			decodeNS[ft].Observe(int64(time.Since(t0))) //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
 			t0 = time.Now()                             //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
 		}
@@ -228,107 +230,22 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 		// batches.)
 		n := len(body) + 4
 		frameBytes.Observe(int64(n))
-		s.mu.Lock()
-		s.stats.Frames++
-		s.stats.Bytes += int64(n)
-		s.mu.Unlock()
-		s.m.frames.Inc()
-		peerRecv.Inc()
-
-		switch m := f.(type) {
-		case *wire.Hello:
-			if peer != nil || int(m.K) != s.k || int(m.Trials) != s.cfg.Trials ||
-				int(m.Node) < s.lo || int(m.Node) >= s.hi || !s.registerLeaf(int(m.Node)) {
-				s.countBadFrame()
-				conn.Close()
-				return
-			}
-			node = int(m.Node)
-			if s.reg != nil {
-				peerRecv = s.reg.Counter(s.metricName(fmt.Sprintf("peer.%d.recv", node)))
-				peerRecv.Inc() // the Hello itself
-			}
-		case *wire.AggHello:
-			if node >= 0 {
-				s.countBadFrame()
-				conn.Close()
-				return
-			}
-			p := s.registerAgg(m)
-			if p == nil {
-				s.countBadFrame()
-				conn.Close()
-				return
-			}
-			peer = p
-			if s.reg != nil {
-				peerRecv = s.reg.Counter(s.metricName(fmt.Sprintf("aggpeer.%d.recv", peer.id)))
-				peerRecv.Inc() // the AggHello itself
-			}
-		case *wire.Vote:
-			if node < 0 || int(m.Node) != node {
-				s.countBadFrame()
-				continue
-			}
-			s.apply(int(m.Trial), node, m.Reject, 0, 0, tc)
-		case *wire.Sketch:
-			if node < 0 || int(m.Node) != node {
-				s.countBadFrame()
-				continue
-			}
-			// Single-collision vote derived server-side: reject iff the
-			// node saw any colliding pair.
-			s.apply(int(m.Trial), node, m.Collisions > 0, uint64(m.Samples), uint64(m.Collisions), tc)
-		case *wire.VoteBatch:
-			if node < 0 {
-				s.countBadFrame()
-				continue
-			}
-			ok := true
-			for i := range m.Votes {
-				if int(m.Votes[i].Node) != node {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				// A batch smuggling another node's votes is rejected whole,
-				// like a mismatched single-vote frame.
-				s.countBadFrame()
-				continue
-			}
-			s.applyBatch(m, node, tc)
-		case *wire.PartialVerdict:
-			if peer == nil || m.Agg != peer.id {
-				s.countBadFrame()
-				continue
-			}
-			s.applyPartial(m, peer, tc)
-		case *wire.Done:
-			if peer != nil {
-				if int(m.Node) != int(peer.id) {
-					s.countBadFrame()
-					continue
-				}
-				s.markDoneRange(peer)
-			} else {
-				if node < 0 || int(m.Node) != node {
-					s.countBadFrame()
-					continue
-				}
-				s.markDone(node)
-			}
-			if s.reg != nil && int(ft) < len(applyNS) {
-				applyNS[ft].Observe(int64(time.Since(t0))) //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
-			}
-			// The peer sends nothing further; keep the connection open for
-			// the verdict broadcast and release the handler.
-			return
-		default:
-			s.countBadFrame()
+		done := false
+		if peer == nil {
+			s.countFrame(n) // Apply counts every later frame
+			peer, err = s.Handshake(f)
+		} else {
+			done, err = peer.Apply(f, tc, n)
 		}
-		if s.reg != nil && int(ft) < len(applyNS) {
+		if err != nil {
+			conn.Close()
+			return
+		}
+		if timed {
 			applyNS[ft].Observe(int64(time.Since(t0))) //unifvet:allow wallclock latency histogram sample; enabled only with telemetry, never read by decisions
+		}
+		if done {
+			return
 		}
 	}
 }
@@ -593,6 +510,16 @@ func (s *voteSink) markDoneRange(peer *aggPeer) {
 // fire triggers session finalization once; callers hold s.mu.
 func (s *voteSink) fire() {
 	s.triggerOnce.Do(func() { close(s.trigger) })
+}
+
+// countFrame accounts one received frame of n wire bytes (body plus
+// length prefix).
+func (s *voteSink) countFrame(n int) {
+	s.mu.Lock()
+	s.stats.Frames++
+	s.stats.Bytes += int64(n)
+	s.mu.Unlock()
+	s.m.frames.Inc()
 }
 
 // countBadFrame tallies a rejected frame.

@@ -247,6 +247,10 @@ func TestUntracedFramesStayVersion1(t *testing.T) {
 	if rep.Stats.Bytes != wantPerNode*int64(nw.K()) {
 		t.Fatalf("untraced session moved %d bytes, want %d", rep.Stats.Bytes, wantPerNode*int64(nw.K()))
 	}
+	// Frames count the handshake too: Hello + votes + Done per node.
+	if want := nw.K() * (cfg.Trials + 2); rep.Stats.Frames != want {
+		t.Fatalf("untraced session counted %d frames, want %d", rep.Stats.Frames, want)
+	}
 	// A traced run grows every vote frame by exactly the 16-byte context.
 	tcfg := cfg
 	tcfg.Trace = trace.New(obs.NewJournal(&bytes.Buffer{}), 9)
