@@ -136,10 +136,10 @@ func TestBatchedDisconnectDrainsPendingVotes(t *testing.T) {
 	}
 }
 
-// TestMixedVersionInterop runs one referee session where half the nodes
-// speak the batched v3 protocol and half the per-frame v1/v2 protocol:
+// TestBatchedAndSingleVoteNodesInOneRun runs one referee session where
+// half the nodes send VoteBatch frames and half send one frame per vote:
 // the referee must serve both and land on the reference verdicts.
-func TestMixedVersionInterop(t *testing.T) {
+func TestBatchedAndSingleVoteNodesInOneRun(t *testing.T) {
 	nw := thresholdNetwork(t, 64, 60)
 	d := dist.NewTwoBump(64, 1.0, 9)
 	k := nw.K()

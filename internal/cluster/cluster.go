@@ -168,8 +168,8 @@ type Config struct {
 	QueueDepth  int
 	QueuePolicy QueuePolicy
 	// Session binds every frame this configuration sends — and every frame
-	// its referee accepts — to a wire v5 session ID. 0, the default, keeps
-	// the classic single-session encoding (byte-identical to codec ≤ v4).
+	// its referee accepts — to a session ID through the wire session
+	// suffix. 0, the default, sends frames without the suffix.
 	// The multi-tenant service (internal/cluster/service) assigns nonzero
 	// IDs so many concurrent sessions share one transport endpoint; the
 	// referee rejects frames whose session does not match as bad frames.
@@ -182,11 +182,11 @@ type Config struct {
 	MetricSuffix string
 	// Trace, when non-nil, emits causally-linked spans for the session
 	// (node sample → frame send → referee apply → verdict) into the
-	// tracer's journal and stamps vote frames with a wire trace context
-	// (codec version 2). Tracing is observability only: verdicts, vote
-	// payloads and decision flow are unchanged — only the vote frame
-	// encoding grows by the 16-byte context, which shows up in the byte
-	// accounting but never in a verdict.
+	// tracer's journal and stamps vote frames with the wire trace-context
+	// suffix. Tracing is observability only: verdicts, vote payloads and
+	// decision flow are unchanged — only the vote frame encoding grows by
+	// the 16-byte context, which shows up in the byte accounting but never
+	// in a verdict.
 	Trace *trace.Tracer
 }
 

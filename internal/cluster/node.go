@@ -105,10 +105,14 @@ func (nc *NodeClient) computeFrames(d dist.Distribution, sess trace.Context) ([]
 	frames := make([]outFrame, 0, nc.Config.Trials)
 	for t := 0; t < nc.Config.Trials; t++ {
 		// The sample span's ID is derived from (trace, trial, node), so a
-		// rerun of the same configuration yields the same span graph.
-		sp := tr.StartID("node.sample",
-			trace.Derive("node.sample", uint64(tr.Trace()), uint64(t), uint64(nc.ID)),
-			sess, trace.A("trial", t))
+		// rerun of the same configuration yields the same span graph. With
+		// tracing off the ID and attributes are never built.
+		var sp *trace.Span
+		if tr.Enabled() {
+			sp = tr.StartID("node.sample",
+				trace.Derive("node.sample", uint64(tr.Trace()), uint64(t), uint64(nc.ID)),
+				sess, trace.A("trial", t))
+		}
 		zeroround.VoteStream(g, nc.Config.BaseSeed, uint64(t), nc.ID, nc.K)
 		dist.SampleInto(d, block, g)
 		var f wire.Frame
@@ -158,9 +162,14 @@ func (nc *NodeClient) submit(frames []outFrame, attempt int) (wire.Verdict, erro
 	for _, of := range frames {
 		// The send span's ID rides the frame as its wire trace context, so
 		// the referee's apply span can parent on it across the connection.
-		sp := tr.Start("node.send", of.parent, trace.A("attempt", attempt))
-		ctx := sp.Context()
-		err := lk.sendVote(of.frame, wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)})
+		var sp *trace.Span
+		var tc wire.TraceContext
+		if tr.Enabled() {
+			sp = tr.Start("node.send", of.parent, trace.A("attempt", attempt))
+			ctx := sp.Context()
+			tc = wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)}
+		}
+		err := lk.sendVote(of.frame, tc)
 		sp.End()
 		if err != nil {
 			return wire.Verdict{}, fmt.Errorf("vote: %w", err)

@@ -211,11 +211,15 @@ func (b *batcher) flush() error {
 	if n == 0 {
 		return nil
 	}
-	sp := b.tr.Start("node.sendbatch", b.sess,
-		trace.A("votes", n), trace.A("compress", b.compress))
-	ctx := sp.Context()
-	buf, err := b.enc.AppendSession(b.q.buffer(), &b.batch, b.session,
-		wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)}, b.compress)
+	var sp *trace.Span
+	var tc wire.TraceContext
+	if b.tr.Enabled() {
+		sp = b.tr.Start("node.sendbatch", b.sess,
+			trace.A("votes", n), trace.A("compress", b.compress))
+		ctx := sp.Context()
+		tc = wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)}
+	}
+	buf, err := b.enc.AppendSession(b.q.buffer(), &b.batch, b.session, tc, b.compress)
 	if err == nil {
 		err = b.q.send(buf)
 	}

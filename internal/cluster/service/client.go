@@ -72,7 +72,7 @@ func (c *Client) Session() uint32 { return c.session }
 
 // WireSession returns the session ID node clients must put in
 // Config.Session: the granted ID, or 0 for a default-mode session whose
-// peers speak the legacy sessionless encoding.
+// peers send frames without the session suffix.
 func (c *Client) WireSession() uint32 {
 	if c.legacy {
 		return 0

@@ -181,13 +181,14 @@ func (s *scheduler) worker() {
 }
 
 // apply decodes and folds one frame through Peer.Apply, the dispatch the
-// solo referee's handler drives too: a protocol violation counts one bad
-// frame and terminates the offending connection. A body that does not
-// decode terminates it as well. The session itself keeps running on its
-// other peers.
+// solo referee's handler drives too: a protocol violation — a body that
+// does not decode included — counts one bad frame and terminates the
+// offending connection. The session itself keeps running on its other
+// peers.
 func (s *scheduler) apply(sess *session, it *frameItem, sc *wire.DecodeScratch) {
 	f, tc, _, err := wire.DecodeBodySession(it.body, sc)
 	if err != nil {
+		it.peer.Fail(err)
 		it.conn.Close()
 		return
 	}

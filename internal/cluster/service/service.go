@@ -8,17 +8,17 @@
 // "multi-tenant aggregation service" step beyond the one-session-per-
 // deployment runtimes of the flat star and the aggregation tree.
 //
-// The protocol is wire v5. A client opens a control connection and sends
-// SessionOpen (tenant, rule shape, trials, seed, sketch mode); the
-// service admits it — or rejects it with a typed reason when quotas or
-// shape validation fail — and answers SessionAccept carrying the session
-// ID. Node clients then connect exactly as they would to a solo referee,
-// with every frame bound to that session by the v5 session suffix; a
-// session-0 peer (codec v3/v4) routes to the designated default session,
-// so pre-session peers interoperate unchanged. When the session decides,
-// the service streams a SessionReport back on the control connection and
-// broadcasts the verdict to the session's peers, then reclaims all
-// per-session state.
+// The protocol is the wire package's session frames. A client opens a
+// control connection and sends SessionOpen (tenant, rule shape, trials,
+// seed, sketch mode); the service admits it — or rejects it with a typed
+// reason when quotas or shape validation fail — and answers
+// SessionAccept carrying the session ID. Node clients then connect
+// exactly as they would to a solo referee, with every frame bound to that
+// session by the wire session suffix; a sessionless peer (frames without
+// the suffix) routes to the designated default session. When the session
+// decides, the service streams a SessionReport back on the control
+// connection and broadcasts the verdict to the session's peers, then
+// reclaims all per-session state.
 //
 // Fairness: inbound frames are not applied on the reader goroutine.
 // Each session owns a bounded frame queue, and a fixed worker pool
@@ -140,7 +140,7 @@ type Service struct {
 	sessions    map[uint32]*session // by session ID
 	slots       []*session          // by slot index; nil = free
 	tenantUse   map[uint32]int      // tenant → in-flight vote budget used
-	defaultSess *session            // serves session-0 (legacy v3/v4) peers
+	defaultSess *session            // serves sessionless peers
 	nextID      uint32
 	closed      bool
 	l           net.Listener
@@ -414,8 +414,8 @@ func (s *Service) allocID() uint32 {
 
 // servePeer drains one node/aggregator connection into its session's
 // frame queue. The first frame (Hello or AggHello) fixes both the
-// session — by its v5 suffix, or the default session for session-0
-// legacy peers — and the peer identity; every subsequent frame must
+// session — by its session suffix, or the default session for a
+// sessionless peer — and the peer identity; every subsequent frame must
 // carry the same session.
 func (s *Service) servePeer(conn net.Conn, r *wire.Reader, first []byte) {
 	sessID := wire.SessionOf(first)
@@ -453,12 +453,18 @@ func (s *Service) servePeer(conn net.Conn, r *wire.Reader, first []byte) {
 	for {
 		body, err := r.ReadBody()
 		if err != nil {
-			// EOF or transport end; the connection stays registered for the
-			// verdict broadcast if it is still open.
+			// A framing error counts one bad frame and closes the
+			// connection; after EOF or a transport end it stays registered
+			// for the verdict broadcast if it is still open.
+			if peer.Fail(err) {
+				s.badConns.Inc()
+				conn.Close()
+			}
 			return
 		}
-		if wire.SessionOf(body) != sessID {
+		if got := wire.SessionOf(body); got != sessID {
 			// Cross-session smuggling: terminate before the frame can fold.
+			peer.Fail(fmt.Errorf("service: frame for session %d on session %d", got, sessID))
 			s.badConns.Inc()
 			conn.Close()
 			return

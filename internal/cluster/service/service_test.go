@@ -137,16 +137,15 @@ func TestConcurrentSessionsMatchSolo(t *testing.T) {
 	}
 }
 
-// TestLegacyPeersViaDefaultSession pins v3/v4 interop: node clients that
-// speak the sessionless encoding (Config.Session = 0, frames
-// byte-identical to wire v4) are served by the designated default
-// session.
+// TestLegacyPeersViaDefaultSession pins sessionless peers: node clients
+// that send frames without the session suffix (Config.Session = 0) are
+// served by the designated default session.
 func TestLegacyPeersViaDefaultSession(t *testing.T) {
 	nw := thresholdNetwork(t, 64, 40)
 	d := dist.NewTwoBump(64, 1.0, 5)
 	for _, cfg := range []cluster.Config{
-		{Trials: 8, BaseSeed: 6},            // per-vote frames, the v3 shape
-		{Trials: 8, BaseSeed: 6, Batch: 16}, // batched frames, the v4 shape
+		{Trials: 8, BaseSeed: 6},            // per-vote frames
+		{Trials: 8, BaseSeed: 6, Batch: 16}, // batched frames
 	} {
 		_, dial := startService(t, service.Config{})
 		rep, err := service.Submit(dial, cfg, nw, d, nil, 9, true)

@@ -19,7 +19,7 @@ type session struct {
 	slot      int    // metric-label slot in [0, MaxSessions)
 	tenant    uint32
 	cost      int  // k×trials charged against the tenant budget
-	isDefault bool // serves legacy session-0 peers
+	isDefault bool // serves sessionless peers
 
 	rf      *cluster.Referee
 	ctrl    net.Conn // the opener's control connection; receives the SessionReport
@@ -33,8 +33,8 @@ type session struct {
 	finishOnce sync.Once
 }
 
-// wireID is the session ID node frames must carry. Legacy peers of a
-// default session instead send session 0 and are routed here by the
+// wireID is the session ID node frames must carry. Sessionless peers of
+// a default session instead send session 0 and are routed here by the
 // service, bypassing this check.
 func (s *session) wireID() uint32 { return s.id }
 

@@ -138,6 +138,14 @@ func (p *Peer) Apply(f wire.Frame, tc wire.TraceContext, wireBytes int) (bool, e
 	return false, nil
 }
 
+// Fail settles an error that ended the peer's connection outside Apply,
+// by the rule every host applies: a frame that failed to read, decode or
+// route counts one bad frame, while an orderly end of stream (EOF, a
+// closed or reset transport, a deadline) counts nothing. It reports
+// whether err was a protocol violation; the caller then terminates the
+// transport.
+func (p *Peer) Fail(err error) bool { return p.s.fail(err) }
+
 // Register records conn for the verdict broadcast at finalization and
 // counts the accepted connection. It reports false when the session
 // already finalized — the caller should close conn itself.

@@ -194,8 +194,7 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 		if err != nil {
 			// EOF, peer close, injected disconnect, or framing error:
 			// framing errors count as a bad frame, transport ends either way.
-			if !isClosedErr(err) {
-				s.countBadFrame()
+			if s.fail(err) {
 				conn.Close()
 			}
 			return
@@ -206,8 +205,8 @@ func (s *voteSink) handle(conn net.Conn, end time.Time) {
 		}
 		f, tc, sess, err := wire.DecodeBodySession(body, &sc)
 		if err != nil || sess != s.cfg.Session {
-			// A codec error, or a frame bound to another session (or a bare
-			// legacy frame on a session-bound sink): terminate the
+			// A codec error, or a frame bound to another session (or a
+			// sessionless frame on a session-bound sink): terminate the
 			// transport so a misdirected peer's votes cannot leak across
 			// sessions.
 			s.countBadFrame()
@@ -523,6 +522,16 @@ func (s *voteSink) countFrame(n int) {
 }
 
 // countBadFrame tallies a rejected frame.
+// fail counts err as one bad frame unless it is an orderly end of
+// stream, and reports which; see Peer.Fail.
+func (s *voteSink) fail(err error) bool {
+	if isClosedErr(err) {
+		return false
+	}
+	s.countBadFrame()
+	return true
+}
+
 func (s *voteSink) countBadFrame() {
 	s.mu.Lock()
 	s.stats.BadFrames++

@@ -38,7 +38,8 @@ import (
 const MaxBatchVotes = 4096
 
 // maxBatchPayloadBytes bounds a batch payload so the full frame body
-// (version + type + payload + trace suffix) fits MaxBatchFrameBytes.
+// (version + type + payload + trace suffix) fits MaxBatchFrameBytes; a
+// session-bound batch gives up sessionBytes of it to the session suffix.
 const maxBatchPayloadBytes = MaxBatchFrameBytes - 2 - traceContextBytes
 
 // BatchVote is one tuple inside a VoteBatch. In vote mode only Trial,
@@ -238,6 +239,7 @@ func (b VoteBatch) appendPayload(dst []byte) []byte {
 }
 
 func (b *VoteBatch) decodePayload(p []byte) error {
+	b.Compressed, b.Saved = false, 0
 	if len(p) < 2 {
 		return fmt.Errorf("%w: %d-byte batch payload", ErrFrameSize, len(p))
 	}
@@ -332,38 +334,46 @@ type BatchEncoder struct {
 	verify []byte
 }
 
-// Append appends b's wire encoding carrying tc to dst. With compress set,
-// payloads of at least MinCompressibleSize bytes are block-compressed when
-// that saves wire bytes; smaller or incompressible payloads encode raw.
-func (e *BatchEncoder) Append(dst []byte, b *VoteBatch, tc TraceContext, compress bool) ([]byte, error) {
+// AppendSession appends b's wire encoding bound to session and carrying
+// tc to dst. With compress set, payloads of at least MinCompressibleSize
+// bytes are block-compressed when that saves wire bytes; smaller or
+// incompressible payloads encode raw.
+func (e *BatchEncoder) AppendSession(dst []byte, b *VoteBatch, session uint32, tc TraceContext, compress bool) ([]byte, error) {
 	if len(b.Votes) == 0 {
 		return dst, fmt.Errorf("wire: empty vote batch")
 	}
 	if len(b.Votes) > MaxBatchVotes {
 		return dst, fmt.Errorf("%w: batch of %d votes (limit %d)", ErrOversize, len(b.Votes), MaxBatchVotes)
 	}
-	size := b.payloadSize()
-	if size > maxBatchPayloadBytes {
-		return dst, fmt.Errorf("%w: %d-byte batch payload (limit %d)", ErrOversize, size, maxBatchPayloadBytes)
+	size, limit := b.payloadSize(), maxBatchPayloadBytes
+	if session != 0 {
+		limit -= sessionBytes
 	}
-	if compress && size >= MinCompressibleSize {
-		e.raw = b.appendPayload(e.raw[:0])
-		if comp := CompressBlock(e.raw, e.comp[:0]); comp != nil {
-			e.comp = comp
-			zsize := uvarintLen(uint64(size)) + len(comp)
-			if zsize < size && e.roundTrips(comp, size) {
-				return appendFlaggedFrame(dst, BatchVersion, TypeVoteBatchZ, zsize, func(d []byte) []byte {
-					d = binary.AppendUvarint(d, uint64(size))
-					return append(d, comp...)
-				}, tc), nil
-			}
+	if size > limit {
+		return dst, fmt.Errorf("%w: %d-byte batch payload (limit %d)", ErrOversize, size, limit)
+	}
+	if !compress || size < MinCompressibleSize {
+		return AppendSession(dst, b, session, tc), nil
+	}
+	e.raw = b.appendPayload(e.raw[:0])
+	if comp := CompressBlock(e.raw, e.comp[:0]); comp != nil {
+		e.comp = comp
+		zsize := uvarintLen(uint64(size)) + len(comp)
+		if zsize < size && e.roundTrips(comp, size) {
+			return appendFrame(dst, TypeVoteBatchZ, zsize, func(d []byte) []byte {
+				return append(binary.AppendUvarint(d, uint64(size)), comp...)
+			}, session, tc), nil
 		}
-		// Raw fallback, reusing the already-encoded payload.
-		return appendFlaggedFrame(dst, BatchVersion, TypeVoteBatch, size, func(d []byte) []byte {
-			return append(d, e.raw...)
-		}, tc), nil
 	}
-	return AppendTraced(dst, b, tc), nil
+	// Raw fallback, reusing the already-encoded payload.
+	return appendFrame(dst, TypeVoteBatch, size, func(d []byte) []byte {
+		return append(d, e.raw...)
+	}, session, tc), nil
+}
+
+// Append is AppendSession without a session.
+func (e *BatchEncoder) Append(dst []byte, b *VoteBatch, tc TraceContext, compress bool) ([]byte, error) {
+	return e.AppendSession(dst, b, 0, tc, compress)
 }
 
 // roundTrips verifies comp decompresses back to the rawLen bytes sitting
@@ -390,40 +400,38 @@ func AppendBatch(dst []byte, b *VoteBatch, tc TraceContext, compress bool) ([]by
 }
 
 // decodeZPayload parses a TypeVoteBatchZ payload — uvarint raw length
-// followed by the compressed block — and returns the decompressed raw
-// batch payload plus the wire bytes the compression saved. Canonicality
-// checks: the raw length must be in the compressible range and the
-// compressed payload strictly smaller than it (our encoder never emits
-// anything else).
-func decodeZPayload(payload []byte, sc *DecodeScratch) ([]byte, int, error) {
+// followed by the compressed block — decompressing into *zbuf (reused
+// across decodes) and decoding the raw batch payload from there. It
+// records the wire bytes the compression saved. Canonicality checks: the
+// raw length must be in the compressible range and the compressed payload
+// strictly smaller than it (our encoder never emits anything else).
+func (b *VoteBatch) decodeZPayload(payload []byte, zbuf *[]byte) error {
 	rawLen64, off, err := readUvarint(payload, 0)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	rawLen := int(rawLen64)
 	if rawLen64 < MinCompressibleSize || rawLen64 > maxBatchPayloadBytes {
-		return nil, 0, fmt.Errorf("%w: compressed batch raw length %d", ErrFrameSize, rawLen64)
+		return fmt.Errorf("%w: compressed batch raw length %d", ErrFrameSize, rawLen64)
 	}
 	if len(payload) >= rawLen {
-		return nil, 0, fmt.Errorf("%w: compressed batch (%d bytes) not smaller than raw (%d)",
+		return fmt.Errorf("%w: compressed batch (%d bytes) not smaller than raw (%d)",
 			ErrFrameSize, len(payload), rawLen)
 	}
-	var buf []byte
-	if sc != nil {
-		buf = sc.zbuf[:0]
-	} else {
-		buf = make([]byte, 0, rawLen)
-	}
-	out, err := DecompressBlock(payload[off:], buf, rawLen)
-	if sc != nil && cap(out) > cap(sc.zbuf) {
-		sc.zbuf = out
+	out, err := DecompressBlock(payload[off:], (*zbuf)[:0], rawLen)
+	if cap(out) > cap(*zbuf) {
+		*zbuf = out
 	}
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	if len(out) != rawLen {
-		return nil, 0, fmt.Errorf("%w: compressed batch decompressed to %d bytes, want %d",
+		return fmt.Errorf("%w: compressed batch decompressed to %d bytes, want %d",
 			ErrFrameSize, len(out), rawLen)
 	}
-	return out, rawLen - len(payload), nil
+	if err := b.decodePayload(out); err != nil {
+		return err
+	}
+	b.Compressed, b.Saved = true, rawLen-len(payload)
+	return nil
 }

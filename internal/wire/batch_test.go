@@ -66,9 +66,6 @@ func TestVoteBatchRoundTrip(t *testing.T) {
 			if len(buf) != EncodedSizeTraced(c.batch, ctx) {
 				t.Errorf("%s: encoded %d bytes, EncodedSizeTraced says %d", c.name, len(buf), EncodedSizeTraced(c.batch, ctx))
 			}
-			if buf[4] != BatchVersion {
-				t.Errorf("%s: stamped version %d, want %d", c.name, buf[4], BatchVersion)
-			}
 			got, gotTC, n, err := DecodeTraced(buf)
 			if err != nil {
 				t.Fatalf("%s: decode: %v", c.name, err)
@@ -96,7 +93,7 @@ func TestVoteBatchRoundTrip(t *testing.T) {
 
 // TestVoteBatchDenseEncoding pins the point of delta encoding: the typical
 // shape (one node, trials in order) costs ~2 bytes per vote, far below the
-// 15-byte v1 single-vote frame.
+// 15-byte single-vote frame.
 func TestVoteBatchDenseEncoding(t *testing.T) {
 	b := &VoteBatch{Votes: seqVotes(1234, 1000, false)}
 	if got, limit := b.payloadSize(), 3*len(b.Votes); got > limit {
@@ -149,7 +146,7 @@ func TestVoteBatchRejectsNonCanonical(t *testing.T) {
 	body := []byte{0}               // flags
 	body = append(body, 0x81, 0x00) // count = 1, overlong
 	body = append(body, 5, 6, 0)    // trial, node columns, bitset
-	frame := append([]byte{0, 0, 0, byte(2 + len(body)), BatchVersion, TypeVoteBatch}, body...)
+	frame := append([]byte{0, 0, 0, byte(2 + len(body)), Version, TypeVoteBatch}, body...)
 	mut("non-minimal varint", frame, ErrFrameSize)
 
 	// Truncated and padded payloads.

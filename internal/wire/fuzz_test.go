@@ -20,7 +20,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint32(0), uint32(0), false, []byte{})
 	f.Add(uint32(7), uint32(2000), uint32(60), uint32(3), true, Append(nil, &Vote{Trial: 1, Node: 2, Reject: true}))
 	f.Add(uint32(1<<31), uint32(1), uint32(1<<20), uint32(9), false, []byte{0, 0, 0, 200, 1, 2})
-	f.Add(uint32(3), uint32(4), uint32(5), uint32(6), true, []byte{0, 0, 0, 2, 2, 2})
+	f.Add(uint32(3), uint32(4), uint32(5), uint32(6), true, []byte{0, 0, 0, 2, Version, TypeVote | traceFlag})
 	f.Add(uint32(0), uint32(1), uint32(2), uint32(3), false, []byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, a, b, c, d uint32, flag bool, raw []byte) {
 		frames := []Frame{
@@ -31,7 +31,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			&Verdict{Trials: a, Accepts: b, Missing: c},
 		}
 		// A nonzero trace ID derived from the fuzzed fields; every frame is
-		// exercised both untraced (v1) and traced (v2).
+		// exercised both untraced and traced.
 		tc := TraceContext{Trace: uint64(a)<<32 | uint64(b) | 1, Span: uint64(c)<<32 | uint64(d)}
 		var stream []byte
 		for _, fr := range frames {
@@ -100,7 +100,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			if err == nil || err == io.EOF {
 				return
 			}
-			for _, known := range []error{ErrTruncated, ErrOversize, ErrVersion, ErrUnknownType, ErrFrameSize, ErrTraceContext, ErrCompression} {
+			for _, known := range []error{ErrTruncated, ErrOversize, ErrVersion, ErrUnknownType, ErrFrameSize, ErrTraceContext, ErrSession, ErrCompression} {
 				if errors.Is(err, known) {
 					return
 				}
@@ -113,11 +113,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("Decode(raw) = (%v, %d, nil) on %d bytes", fr, n, len(raw))
 			}
 			// Whatever decoded must re-encode to the exact consumed bytes:
-			// the codec is canonical (untraced frames are always v1, traced
-			// frames always v2 with a nonzero trace ID, raw batches always
-			// bijective v3). The one exception is a compressed batch — any
-			// valid compressor output is accepted, so equality there is
-			// semantic: re-encode raw, decode, same votes.
+			// the codec is canonical (each suffix flagged iff present and
+			// nonzero, raw columnar payloads bijective). The one exception
+			// is a compressed batch — any valid compressor output is
+			// accepted, so equality there is semantic: re-encode raw,
+			// decode, same votes.
+			fsess := SessionOf(raw[headerBytes:n])
 			if vb, ok := fr.(*VoteBatch); ok && vb.Compressed {
 				re := AppendTraced(nil, vb, ftc)
 				f2, tc2, _, err := DecodeTraced(re)
@@ -128,7 +129,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 				if vb2.Sketch != vb.Sketch || !reflect.DeepEqual(vb2.Votes, vb.Votes) {
 					t.Fatal("compressed batch re-encode lost votes")
 				}
-			} else if re := AppendTraced(nil, fr, ftc); !bytes.Equal(re, raw[:n]) {
+			} else if re := AppendSession(nil, fr, fsess, ftc); !bytes.Equal(re, raw[:n]) {
 				t.Fatalf("re-encode mismatch: %x vs %x", re, raw[:n])
 			}
 		} else {
@@ -209,8 +210,8 @@ func FuzzVoteBatchRoundTrip(f *testing.F) {
 		// (then re-encode canonically, checked by the main fuzz target's
 		// logic) or fail typed.
 		var sc DecodeScratch
-		for _, typ := range []byte{TypeVoteBatch, TypeVoteBatchZ, TypeVoteBatch | 0x80} {
-			body := append([]byte{BatchVersion, typ}, raw...)
+		for _, typ := range []byte{TypeVoteBatch, TypeVoteBatchZ, TypeVoteBatch | traceFlag} {
+			body := append([]byte{Version, typ}, raw...)
 			if len(body) > MaxBatchFrameBytes {
 				body = body[:MaxBatchFrameBytes]
 			}
@@ -268,9 +269,10 @@ func advPartialEntries(seed uint64, n int, sketch bool) []PartialEntry {
 // FuzzPartialVerdictRoundTrip drives the aggregation-tier codec from both
 // ends: fuzzed partial verdicts (typical and adversarial shapes, traced
 // and untraced, vote and sketch mode) must round-trip losslessly with
-// decode→re-encode byte equality; fuzzed raw bytes framed as v4 bodies
-// must decode canonically or fail with typed errors — never panic — with
-// the entry-count and frame-size caps enforced.
+// decode→re-encode byte equality; fuzzed raw bytes framed as AggHello
+// and PartialVerdict bodies must decode canonically or fail with typed
+// errors — never panic — with the entry-count and frame-size caps
+// enforced.
 func FuzzPartialVerdictRoundTrip(f *testing.F) {
 	f.Add(uint16(1), uint32(0), uint64(0), false, []byte{})
 	f.Add(uint16(64), uint32(3), uint64(7), true, []byte{0, 1, 2})
@@ -323,11 +325,11 @@ func FuzzPartialVerdictRoundTrip(f *testing.F) {
 			t.Fatalf("oversize partial: err = %v", err)
 		}
 
-		// Adversarial path: raw bytes framed as each v4 type must decode
-		// canonically or fail typed.
+		// Adversarial path: raw bytes framed as each aggregation type must
+		// decode canonically or fail typed.
 		var sc DecodeScratch
-		for _, typ := range []byte{TypeAggHello, TypePartialVerdict, TypePartialVerdict | 0x80} {
-			body := append([]byte{PartialVersion, typ}, raw...)
+		for _, typ := range []byte{TypeAggHello, TypePartialVerdict, TypePartialVerdict | traceFlag} {
+			body := append([]byte{Version, typ}, raw...)
 			if len(body) > MaxBatchFrameBytes {
 				body = body[:MaxBatchFrameBytes]
 			}
@@ -338,11 +340,12 @@ func FuzzPartialVerdictRoundTrip(f *testing.F) {
 						t.Fatalf("decoded partial with %d entries", len(pv.Entries))
 					}
 				}
-				// Every decodable v4 body is canonical: re-encoding the frame
-				// with its trace context reproduces the exact input bytes.
+				// Every decodable aggregation body is canonical: re-encoding
+				// the frame with its trace context reproduces the exact
+				// input bytes.
 				re := AppendTraced(nil, fr, ftc)
 				if !bytes.Equal(re[4:], body) {
-					t.Fatalf("adversarial %s not canonical: %x vs %x", TypeName(typ&^0x80), re[4:], body)
+					t.Fatalf("adversarial %s not canonical: %x vs %x", TypeName(typ&typeMask), re[4:], body)
 				}
 				continue
 			}

@@ -21,9 +21,8 @@
 // varints, zero spare flag bits, per-entry validity (votes ≥ 1,
 // rejects ≤ votes) and exact payload length are all enforced at decode,
 // so every decodable frame re-encodes to the identical bytes —
-// FuzzPartialVerdictRoundTrip pins this. Both types are only legal at
-// PartialVersion and flag their optional 16-byte trace suffix through the
-// type byte's high bit, exactly like the batch types at v3.
+// FuzzPartialVerdictRoundTrip pins this. Both types use the one frame
+// layout of wire.go.
 package wire
 
 import (
@@ -270,89 +269,29 @@ func (p *PartialVerdict) decodePayload(b []byte) error {
 	return nil
 }
 
-// AppendPartial appends p's wire encoding carrying tc to dst, enforcing
-// the entry-count and payload-size caps the decoder will apply. Partial
-// payloads are never block-compressed: a typical entry is a handful of
-// delta varints, far below MinCompressibleSize per entry.
-func AppendPartial(dst []byte, p *PartialVerdict, tc TraceContext) ([]byte, error) {
+// AppendPartialSession appends p's wire encoding bound to session and
+// carrying tc to dst, enforcing the entry-count and payload-size caps the
+// decoder will apply. Partial payloads are never block-compressed: a
+// typical entry is a handful of delta varints, far below
+// MinCompressibleSize per entry.
+func AppendPartialSession(dst []byte, p *PartialVerdict, session uint32, tc TraceContext) ([]byte, error) {
 	if len(p.Entries) == 0 {
 		return dst, fmt.Errorf("wire: empty partial verdict")
 	}
 	if len(p.Entries) > MaxPartialEntries {
 		return dst, fmt.Errorf("%w: partial of %d entries (limit %d)", ErrOversize, len(p.Entries), MaxPartialEntries)
 	}
-	if size := p.payloadSize(); size > maxPartialPayloadBytes {
-		return dst, fmt.Errorf("%w: %d-byte partial payload (limit %d)", ErrOversize, size, maxPartialPayloadBytes)
+	limit := maxPartialPayloadBytes
+	if session != 0 {
+		limit -= sessionBytes
 	}
-	return AppendTraced(dst, p, tc), nil
+	if size := p.payloadSize(); size > limit {
+		return dst, fmt.Errorf("%w: %d-byte partial payload (limit %d)", ErrOversize, size, limit)
+	}
+	return AppendSession(dst, p, session, tc), nil
 }
 
-// decodePartialBody parses a PartialVersion frame body: trace flag in the
-// type byte, AggHello or PartialVerdict payload, optional trace suffix.
-func decodePartialBody(body []byte, sc *DecodeScratch) (Frame, TraceContext, error) {
-	t := body[1]
-	base := t &^ traceFlag
-	if base != TypeAggHello && base != TypePartialVerdict {
-		if base >= TypeHello && base <= TypeSessionReport {
-			// Every type has exactly one valid version; re-encoding another
-			// type at v4 would break the canonical-bytes invariant.
-			return nil, TraceContext{}, fmt.Errorf("%w: type %d not valid at v%d", ErrVersion, base, PartialVersion)
-		}
-		return nil, TraceContext{}, fmt.Errorf("%w: type %d", ErrUnknownType, base)
-	}
-	if len(body) > FrameCap(base) {
-		return nil, TraceContext{}, fmt.Errorf("%w: %d-byte %s frame (limit %d)",
-			ErrOversize, len(body), TypeName(base), FrameCap(base))
-	}
-	payload := body[2:]
-	var tc TraceContext
-	if t&traceFlag != 0 {
-		if len(payload) < traceContextBytes {
-			return nil, TraceContext{}, fmt.Errorf("%w: traced %s frame with %d-byte body",
-				ErrFrameSize, TypeName(base), len(body))
-		}
-		tail := payload[len(payload)-traceContextBytes:]
-		tc.Trace = binary.BigEndian.Uint64(tail[:8])
-		tc.Span = binary.BigEndian.Uint64(tail[8:])
-		if tc.Trace == 0 {
-			return nil, TraceContext{}, fmt.Errorf("%w: zero trace ID on a v%d frame", ErrTraceContext, PartialVersion)
-		}
-		payload = payload[:len(payload)-traceContextBytes]
-	}
-	f, err := decodePartialPayload(base, payload, sc)
-	if err != nil {
-		return nil, TraceContext{}, err
-	}
-	return f, tc, nil
-}
-
-// decodePartialPayload parses an AggHello or PartialVerdict payload
-// (shared by the v4 and v5 decode paths).
-func decodePartialPayload(base byte, payload []byte, sc *DecodeScratch) (Frame, error) {
-	if base == TypeAggHello {
-		var h *AggHello
-		if sc != nil {
-			h = &sc.aggHello
-		} else {
-			h = &AggHello{}
-		}
-		if len(payload) != h.payloadSize() {
-			return nil, fmt.Errorf("%w: agghello payload %d bytes, want %d",
-				ErrFrameSize, len(payload), h.payloadSize())
-		}
-		if err := h.decodePayload(payload); err != nil {
-			return nil, err
-		}
-		return h, nil
-	}
-	var pv *PartialVerdict
-	if sc != nil {
-		pv = &sc.partial
-	} else {
-		pv = &PartialVerdict{}
-	}
-	if err := pv.decodePayload(payload); err != nil {
-		return nil, err
-	}
-	return pv, nil
+// AppendPartial is AppendPartialSession without a session.
+func AppendPartial(dst []byte, p *PartialVerdict, tc TraceContext) ([]byte, error) {
+	return AppendPartialSession(dst, p, 0, tc)
 }

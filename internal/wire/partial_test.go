@@ -77,20 +77,10 @@ func TestPartialVerdictValidation(t *testing.T) {
 		raw  []byte
 		want error
 	}{
-		{"empty entries", append([]byte{0, 0, 0, 8, PartialVersion, TypePartialVerdict, 0, 0, 0, 1, 0, 0}, 0), ErrFrameSize},
+		{"empty entries", append([]byte{0, 0, 0, 8, Version, TypePartialVerdict, 0, 0, 0, 1, 0, 0}, 0), ErrFrameSize},
 		{"zero votes", enc(&PartialVerdict{Agg: 1, Entries: []PartialEntry{{Trial: 0, Votes: 0}}}), ErrFrameSize},
 		{"rejects over votes", enc(&PartialVerdict{Agg: 1, Entries: []PartialEntry{{Trial: 0, Votes: 2, Rejects: 3}}}), ErrFrameSize},
-		{"agghello at v1", Append(nil, &Hello{})[:0], nil}, // placeholder replaced below
 	}
-	// AggHello encoded at the wrong version must be rejected.
-	v1 := []byte{0, 0, 0, 22, MinVersion, TypeAggHello}
-	v1 = append(v1, make([]byte, 20)...)
-	cases[3] = struct {
-		name string
-		raw  []byte
-		want error
-	}{"agghello at v1", v1, ErrVersion}
-
 	for _, c := range cases {
 		if _, _, err := Decode(c.raw); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
@@ -109,18 +99,6 @@ func TestPartialVerdictValidation(t *testing.T) {
 		t.Errorf("oversize encode: err = %v, want ErrOversize", err)
 	}
 
-	// Old types must not decode at v4.
-	old := []byte{0, 0, 0, 11, PartialVersion, TypeVote, 0, 0, 0, 0, 0, 0, 0, 1, 0}
-	if _, _, err := Decode(old); !errors.Is(err, ErrVersion) {
-		t.Errorf("vote at v4: err = %v, want ErrVersion", err)
-	}
-	// Partial types must not decode at v3 or below.
-	p := samplePartial()
-	enc3 := AppendTraced(nil, p, TraceContext{})
-	enc3[4] = BatchVersion
-	if _, _, err := Decode(enc3); !errors.Is(err, ErrVersion) {
-		t.Errorf("partial at v3: err = %v, want ErrVersion", err)
-	}
 }
 
 func TestPartialVerdictWorstCaseFitsCap(t *testing.T) {

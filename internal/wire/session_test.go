@@ -22,27 +22,8 @@ func sessionTestFrames() []Frame {
 	}
 }
 
-// TestSessionZeroByteIdentical pins the interop invariant: binding a frame
-// to session 0 is a no-op on the wire — byte-identical to the v4-and-below
-// encoding — so session-unaware peers keep working against a v5 service.
-func TestSessionZeroByteIdentical(t *testing.T) {
-	tcs := []TraceContext{{}, {Trace: 9, Span: 4}}
-	for _, fr := range sessionTestFrames() {
-		for _, tc := range tcs {
-			classic := AppendTraced(nil, fr, tc)
-			bound := AppendSession(nil, fr, 0, tc)
-			if !bytes.Equal(classic, bound) {
-				t.Errorf("%T: session-0 encoding differs: %x vs %x", fr, bound, classic)
-			}
-			if n := EncodedSizeSession(fr, 0, tc); n != len(bound) {
-				t.Errorf("%T: EncodedSizeSession(0) = %d, want %d", fr, n, len(bound))
-			}
-		}
-	}
-}
-
 // TestSessionSuffixRoundTrip pins the nonzero-session path: every
-// established type round-trips through the v5 suffix encoding with the
+// non-control type round-trips through the session suffix with the
 // session ID intact and decode∘encode the identity.
 func TestSessionSuffixRoundTrip(t *testing.T) {
 	tcs := []TraceContext{{}, {Trace: 9, Span: 4}}
@@ -51,9 +32,6 @@ func TestSessionSuffixRoundTrip(t *testing.T) {
 		for _, tc := range tcs {
 			for _, sess := range []uint32{1, 7, 1 << 30} {
 				enc := AppendSession(nil, fr, sess, tc)
-				if enc[4] != SessionVersion {
-					t.Fatalf("%T: session frame stamped v%d", fr, enc[4])
-				}
 				if n := EncodedSizeSession(fr, sess, tc); n != len(enc) {
 					t.Errorf("%T: EncodedSizeSession = %d, want %d", fr, n, len(enc))
 				}
@@ -91,9 +69,9 @@ func framesEqual(got, want Frame) bool {
 	return reflect.DeepEqual(got, want)
 }
 
-// TestSessionZeroSuffixRejected pins canonicality: an explicit zero
-// session at v5 is rejected (session 0's unique encoding is the classic
-// version), so every (frame, session) pair has exactly one byte form.
+// TestSessionZeroSuffixRejected pins canonicality: a flagged zero
+// session is rejected (session 0's unique encoding has no suffix), so
+// every (frame, session) pair has exactly one byte form.
 func TestSessionZeroSuffixRejected(t *testing.T) {
 	enc := AppendSession(nil, &Vote{Trial: 1, Node: 2}, 7, TraceContext{})
 	body := append([]byte(nil), enc[4:]...)
@@ -121,9 +99,6 @@ func TestSessionControlRoundTrip(t *testing.T) {
 	for _, fr := range frames {
 		for _, tc := range []TraceContext{{}, {Trace: 3, Span: 8}} {
 			enc := AppendTraced(nil, fr, tc)
-			if enc[4] != SessionVersion {
-				t.Fatalf("%T: control frame stamped v%d", fr, enc[4])
-			}
 			got, gotTC, gotSess, err := DecodeBodySession(enc[4:], &sc)
 			if err != nil {
 				t.Fatalf("%T: decode: %v", fr, err)
@@ -146,8 +121,8 @@ func TestSessionControlRoundTrip(t *testing.T) {
 }
 
 // TestSessionControlValidation pins the typed decode errors of the control
-// frames: out-of-range reject reasons, zero accept sessions, spare open
-// flags, and control types at pre-session versions.
+// payloads: out-of-range reject reasons, zero accept sessions and spare
+// open flags.
 func TestSessionControlValidation(t *testing.T) {
 	if _, _, _, err := DecodeBodySession(AppendTraced(nil, &SessionReject{Tenant: 1, Reason: 99}, TraceContext{})[4:], nil); !errors.Is(err, ErrFrameSize) {
 		t.Errorf("reason 99: err = %v, want ErrFrameSize", err)
@@ -160,23 +135,6 @@ func TestSessionControlValidation(t *testing.T) {
 	body[len(body)-1] |= 0x80 // spare flag bit
 	if _, _, _, err := DecodeBodySession(body, nil); !errors.Is(err, ErrFrameSize) {
 		t.Errorf("spare open flags: err = %v, want ErrFrameSize", err)
-	}
-	// Control types are only legal at v5.
-	for _, v := range []byte{MinVersion, TraceVersion, BatchVersion, PartialVersion} {
-		bad := append([]byte(nil), open[4:]...)
-		bad[0] = v
-		if _, _, _, err := DecodeBodySession(bad, nil); !errors.Is(err, ErrVersion) {
-			t.Errorf("sessionopen at v%d: err = %v, want ErrVersion", v, err)
-		}
-	}
-	// Established types stay illegal at v5 without a session suffix only
-	// when the remaining payload is mis-sized; a well-formed suffix is
-	// what makes them legal — a bare v5 vote body must fail.
-	vote := Append(nil, &Vote{Trial: 1, Node: 2})
-	bare := append([]byte(nil), vote[4:]...)
-	bare[0] = SessionVersion
-	if _, _, _, err := DecodeBodySession(bare, nil); !errors.Is(err, ErrFrameSize) {
-		t.Errorf("bare v5 vote: err = %v, want ErrFrameSize", err)
 	}
 }
 
@@ -237,25 +195,25 @@ func TestSessionBatchAndPartialCaps(t *testing.T) {
 	if _, err := AppendPartialSession(nil, overP, 3, TraceContext{}); !errors.Is(err, ErrOversize) {
 		t.Errorf("oversize session partial: err = %v", err)
 	}
-	// Session 0 delegates to the classic encoders byte-for-byte.
+	// Session 0 is the sessionless encoding byte for byte.
 	b := &VoteBatch{Votes: []BatchVote{{Trial: 0, Node: 1}}}
-	classic, err := AppendBatch(nil, b, TraceContext{}, true)
+	plain, err := AppendBatch(nil, b, TraceContext{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bound, err := e.AppendSession(nil, b, 0, TraceContext{}, true)
-	if err != nil || !bytes.Equal(classic, bound) {
+	if err != nil || !bytes.Equal(plain, bound) {
 		t.Errorf("session-0 batch differs: %v", err)
 	}
 }
 
-// FuzzSessionFrameRoundTrip drives the v5 session codec from both ends:
-// fuzzed frames of every kind — established types bound to zero and
+// FuzzSessionFrameRoundTrip drives the session codec from both ends:
+// fuzzed frames of every kind — non-control types bound to zero and
 // nonzero sessions, control frames, traced and untraced — must round-trip
 // losslessly with decode∘encode byte identity (session 0 byte-identical to
-// the classic encoding), and fuzzed raw bytes framed as v5 bodies must
-// decode canonically or fail with typed errors — never panic — with the
-// size caps enforced.
+// the sessionless encoding), and fuzzed raw bytes behind every flag
+// combination must decode canonically or fail with typed errors — never
+// panic — with the size caps enforced.
 func FuzzSessionFrameRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint64(0), uint16(1), false, []byte{})
 	f.Add(uint32(7), uint32(3), uint64(9), uint16(64), true, []byte{0, 1, 2})
@@ -303,7 +261,7 @@ func FuzzSessionFrameRoundTrip(f *testing.F) {
 						t.Fatalf("%T: decode own encoding (session %d): %v", fr, session, err)
 					}
 					wantSess := session
-					if fr.Type() >= TypeSessionOpen {
+					if isControl(fr.Type()) {
 						wantSess = 0 // control frames never take the suffix
 					}
 					if gotSess != wantSess || gotTC != ctx || !framesEqual(got, fr) {
@@ -321,11 +279,11 @@ func FuzzSessionFrameRoundTrip(f *testing.F) {
 					if re := AppendSession(nil, got, gotSess, gotTC); !bytes.Equal(re, enc) {
 						t.Fatalf("%T: re-encode mismatch: %x vs %x", fr, re, enc)
 					}
-					if session == 0 && fr.Type() < TypeSessionOpen {
-						// Session 0 must be byte-identical to the classic
-						// pre-session encoding.
-						if classic := AppendTraced(nil, fr, ctx); !bytes.Equal(classic, enc) {
-							t.Fatalf("%T: session-0 not byte-identical to v4-and-below", fr)
+					if session == 0 {
+						// Session 0 must be byte-identical to the
+						// sessionless encoding.
+						if plain := AppendTraced(nil, fr, ctx); !bytes.Equal(plain, enc) {
+							t.Fatalf("%T: session-0 not byte-identical to the sessionless encoding", fr)
 						}
 					}
 				}
@@ -339,14 +297,15 @@ func FuzzSessionFrameRoundTrip(f *testing.F) {
 			t.Fatalf("oversize report: err = %v", err)
 		}
 
-		// Adversarial path: raw bytes framed as v5 bodies — suffixed
-		// established types, control types, traced variants, and whatever
-		// type byte the fuzzer cooks up — must decode canonically or fail
-		// with a typed error.
-		types := []byte{TypeVote, TypeVote | 0x80, TypeVoteBatch, TypeHello,
-			TypeSessionOpen, TypeSessionReport, TypeSessionReport | 0x80, byte(seed)}
+		// Adversarial path: raw bytes behind session-flagged, traced and
+		// plain type bytes — including control types with a session flag,
+		// and whatever type byte the fuzzer cooks up — must decode
+		// canonically or fail with a typed error.
+		types := []byte{TypeVote | sessionFlag, TypeVote | sessionFlag | traceFlag, TypeVoteBatch | sessionFlag,
+			TypeHello | sessionFlag, TypeSessionOpen, TypeSessionOpen | sessionFlag, TypeSessionReport,
+			TypeSessionReport | traceFlag, byte(seed)}
 		for _, typ := range types {
-			body := append([]byte{SessionVersion, typ}, raw...)
+			body := append([]byte{Version, typ}, raw...)
 			if len(body) > MaxBatchFrameBytes {
 				body = body[:MaxBatchFrameBytes]
 			}
@@ -359,7 +318,7 @@ func FuzzSessionFrameRoundTrip(f *testing.F) {
 				}
 				re := AppendSession(nil, fr, fsess, ftc)
 				if !bytes.Equal(re[4:], body) {
-					t.Fatalf("adversarial %s not canonical: %x vs %x", TypeName(typ&^0x80), re[4:], body)
+					t.Fatalf("adversarial %s not canonical: %x vs %x", TypeName(typ&typeMask), re[4:], body)
 				}
 				continue
 			}

@@ -1,50 +1,46 @@
-// Package wire is the cluster runtime's binary codec: a length-prefixed,
-// versioned framing for the messages the 0-round protocols exchange over
-// real connections — a node's Hello, its per-trial Vote (or collision
-// Sketch), the Done marker closing its vote stream, and the referee's
-// Verdict.
+// Package wire is the cluster runtime's binary codec: a length-prefixed
+// framing for the messages the 0-round protocols exchange over real
+// connections — a node's Hello, its per-trial Vote (or collision Sketch)
+// and VoteBatch, the Done marker closing its vote stream, the referee's
+// Verdict, the aggregation tier's AggHello and PartialVerdict
+// (partial.go), and the multi-tenant service's session control frames
+// (session.go).
 //
-// Every frame on the wire is
+// Every frame on the wire has one layout:
 //
-//	[4-byte big-endian frame length][1-byte version][1-byte type][payload]
+//	[len u32 BE][Version][type | 0x80 trace | 0x40 session][payload][session u32 BE if 0x40][trace 16B if 0x80]
 //
-// where the length counts the version, type and payload bytes (not the
-// prefix itself). Five versions are in play: version 1 frames carry the
-// bare payload; version 2 frames append a 16-byte trace context (trace ID +
-// span ID, both big-endian uint64, trace ID nonzero) that links the frame
-// into the telemetry plane's distributed trace; version 3 frames carry the
-// batch types (VoteBatch, and its compressed form) whose type byte's high
-// bit flags an optional trace-context suffix; version 4 frames carry the
-// aggregation-tier types (AggHello, PartialVerdict — partial.go) with the
-// same high-bit trace flagging; version 5 frames carry the multi-tenant
-// session context (session.go) — the session control types, and any
-// established type bound to a nonzero session ID via a 4-byte suffix. The
-// encoder stamps the lowest version that can represent a frame — untraced
-// single-vote traffic is byte-identical to the pre-trace protocol, traced
-// single-vote traffic is byte-identical to v2, session-0 traffic is
-// byte-identical to v4 and below — and the decoder accepts all five,
-// rejecting anything newer with ErrVersion. Each frame has exactly one
-// valid version (batch types only at v3, aggregation types only at v4,
-// session-bound and session-control frames only at v5, everything else at
-// v1/v2), so every message keeps a single canonical byte representation.
+// where the length counts everything after the prefix itself. The low six
+// bits of the type byte name the frame type; the two high bits flag the
+// optional suffixes. The session suffix binds the frame to a multi-tenant
+// service session; the trace suffix (trace ID + span ID, both big-endian
+// uint64) links the frame into the telemetry plane's distributed trace.
 // Trace context is observability metadata only: the referee's verdicts
 // never depend on it.
 //
-// Single-vote frames are tiny and fixed-size per type; the decoder
-// enforces both the per-type payload size and the MaxFrameBytes cap before
-// reading a body, mirroring the simulator's CONGEST bandwidth check
-// (simnet.ErrBandwidthExceeded): a peer cannot make the referee allocate or
-// buffer unbounded memory by lying in the length prefix, and an oversized
-// frame is a protocol error, not a crash. Batch frames amortize framing
-// across up to MaxBatchVotes tuples and get their own, larger cap
-// (MaxBatchFrameBytes) — a typed per-frame-type limit, not a raising of the
-// CONGEST-mirror cap, which keeps applying to every single-vote type.
+// Every message has exactly one byte representation. The encoder sets
+// the trace flag iff the trace ID is nonzero and the session flag iff
+// the session is nonzero; the decoder rejects a flagged zero trace ID
+// (ErrTraceContext), a flagged session 0 (ErrSession), and a session flag
+// on a session control type, which carries its session in the payload
+// (ErrSession). With both flags clear, a frame is the bare
+// [len][Version][type][payload] encoding.
+//
+// Every frame type has a per-type cap on the frame body (FrameCap),
+// checked before any payload is parsed. Single-vote types get the 64-byte
+// MaxFrameBytes, mirroring the simulator's CONGEST bandwidth check
+// (simnet.ErrBandwidthExceeded): a peer cannot make the referee allocate
+// or buffer unbounded memory by lying in the length prefix, and an
+// oversized frame is a protocol error, not a crash. The columnar types
+// (VoteBatch, PartialVerdict, SessionReport) amortize framing across many
+// tuples and get the larger MaxBatchFrameBytes — a typed per-frame-type
+// limit, not a raising of the CONGEST-mirror cap.
 //
 // Decoding never panics on adversarial input: truncated, oversized,
-// wrong-version, unknown-type, mis-sized and bad-trace-context frames all
-// surface as typed errors (ErrTruncated, ErrOversize, ErrVersion,
-// ErrUnknownType, ErrFrameSize, ErrTraceContext), which FuzzWireRoundTrip
-// pins.
+// wrong-version, unknown-type, mis-sized, bad-trace-context and
+// bad-session frames all surface as typed errors (ErrTruncated,
+// ErrOversize, ErrVersion, ErrUnknownType, ErrFrameSize, ErrTraceContext,
+// ErrSession), which the fuzz targets pin.
 package wire
 
 import (
@@ -54,56 +50,28 @@ import (
 	"io"
 )
 
-// Version is the current protocol version: version-5 frames carry the
-// multi-tenant session context. The encoder stamps each frame at the
-// lowest version that can represent it (see TraceVersion), so old frame
-// types never encode at v3/v4/v5 and old decoders keep accepting
-// untraced/traced single-vote traffic.
-const Version = 5
+// Version is the protocol version byte every frame carries. The decoder
+// rejects any other value with ErrVersion.
+const Version = 1
 
-// SessionVersion is the version byte of session-context frames: the
-// session control types (SessionOpen, SessionAccept, SessionReject,
-// SessionReport) and any established frame type carrying a nonzero
-// session-ID suffix (session.go). They are only legal at this version and
-// flag their optional trace suffix through the type byte like v3/v4.
-const SessionVersion = 5
-
-// BatchVersion is the version byte of batch frames (VoteBatch and its
-// compressed form). Batch types are only legal at this version.
-const BatchVersion = 3
-
-// PartialVersion is the version byte of the aggregation-tier frames
-// (AggHello, PartialVerdict). They are only legal at this version and
-// flag their optional trace suffix through the type byte like v3.
-const PartialVersion = 4
-
-// TraceVersion is the version stamped on traced single-vote frames: the
-// payload followed by a 16-byte TraceContext suffix. Untraced single-vote
-// frames encode at MinVersion so pre-trace decoders still accept them.
-const TraceVersion = 2
-
-// MinVersion is the oldest protocol version the decoder accepts: the
-// trace-free framing of the original cluster runtime.
-const MinVersion = 1
-
-// MaxFrameBytes caps the on-wire frame length (version + type + payload +
-// optional trace context) of every single-vote frame type. All defined
-// single-vote frames are ≤ 34 bytes; the cap leaves headroom while keeping
-// the referee's per-connection buffer trivially bounded — the cluster
-// analogue of the CONGEST per-edge bandwidth limit. Batch types have their
-// own cap (MaxBatchFrameBytes); FrameCap resolves the bound per type.
+// MaxFrameBytes caps the frame body (version + type + payload + suffixes)
+// of every fixed-size frame type. All defined fixed-size frames are ≤ 48
+// bytes with both suffixes; the cap leaves headroom while keeping the
+// referee's per-connection buffer trivially bounded — the cluster
+// analogue of the CONGEST per-edge bandwidth limit. FrameCap resolves the
+// bound per type.
 const MaxFrameBytes = 64
 
-// MaxBatchFrameBytes caps the on-wire length of a batch frame. It bounds
+// MaxBatchFrameBytes caps the frame body of the columnar types. It bounds
 // MaxBatchVotes worst-case-encoded tuples (≤ 21 bytes each in sketch mode)
-// with room for the trace suffix, while still keeping per-connection
+// with room for the suffixes, while still keeping per-connection
 // buffering small enough that 10⁴+ concurrent peers fit in memory.
 const MaxBatchFrameBytes = 1 << 17
 
-// FrameCap returns the on-wire frame-length cap (excluding the 4-byte
-// prefix) for a frame type byte: MaxBatchFrameBytes for batch types,
-// MaxFrameBytes for everything else (including unknown types, which are
-// rejected before the cap matters).
+// FrameCap returns the frame-body cap (excluding the 4-byte prefix) for a
+// frame type: MaxBatchFrameBytes for the columnar types, MaxFrameBytes for
+// everything else (including unknown types, which are rejected before the
+// cap matters).
 func FrameCap(t byte) int {
 	if t == TypeVoteBatch || t == TypeVoteBatchZ || t == TypePartialVerdict || t == TypeSessionReport {
 		return MaxBatchFrameBytes
@@ -117,11 +85,22 @@ const headerBytes = 4
 // traceContextBytes is the encoded size of a TraceContext suffix.
 const traceContextBytes = 16
 
-// TraceContext is the optional trace correlation suffix of a version-2
-// frame: the sender's trace ID and the span that emitted the frame. A zero
-// Trace means "absent" — such frames encode at MinVersion without the
-// suffix, and the decoder rejects a version-2 frame whose trace ID is zero
-// (ErrTraceContext) so every encoding has exactly one byte representation.
+// sessionBytes is the encoded size of the session-ID suffix.
+const sessionBytes = 4
+
+// Type-byte flags: the high two bits announce the optional suffixes, the
+// low six name the frame type.
+const (
+	traceFlag   = 0x80
+	sessionFlag = 0x40
+	typeMask    = 0x3f
+)
+
+// TraceContext is the optional trace correlation suffix of a frame: the
+// sender's trace ID and the span that emitted the frame. A zero Trace
+// means "absent" — such frames carry no suffix, and the decoder rejects a
+// flagged suffix whose trace ID is zero (ErrTraceContext) so every
+// encoding has exactly one byte representation.
 type TraceContext struct {
 	Trace uint64
 	Span  uint64
@@ -168,11 +147,6 @@ const (
 	TypeSessionReport
 )
 
-// traceFlag is the high bit of a BatchVersion frame's type byte: set when
-// a 16-byte TraceContext suffix follows the payload. Single-vote versions
-// signal tracing through the version byte instead.
-const traceFlag = 0x80
-
 // TypeName returns a short lowercase name for a frame type byte, for
 // metric and span labels ("hello", "vote", ...; "type<N>" when unknown).
 func TypeName(t byte) string {
@@ -214,27 +188,27 @@ var (
 	// ErrTruncated marks a frame cut short: a header or body shorter than
 	// its declared length.
 	ErrTruncated = errors.New("wire: truncated frame")
-	// ErrOversize marks a length prefix beyond MaxFrameBytes.
+	// ErrOversize marks a frame beyond its type's FrameCap, or a length
+	// prefix beyond MaxBatchFrameBytes.
 	ErrOversize = errors.New("wire: frame exceeds size limit")
-	// ErrVersion marks a version byte outside MinVersion..Version, or a
-	// frame type encoded at a version that is not its canonical one.
+	// ErrVersion marks a version byte other than Version.
 	ErrVersion = errors.New("wire: unsupported protocol version")
-	// ErrUnknownType marks an unrecognized frame type byte.
+	// ErrUnknownType marks an unrecognized frame type.
 	ErrUnknownType = errors.New("wire: unknown frame type")
 	// ErrFrameSize marks a known frame type with a malformed payload
-	// (wrong size, or a non-canonical batch encoding).
+	// (wrong size, or a non-canonical columnar encoding).
 	ErrFrameSize = errors.New("wire: wrong payload size for frame type")
 	// ErrTraceContext marks a traced frame whose trace context is
 	// malformed (zero trace ID).
 	ErrTraceContext = errors.New("wire: invalid trace context")
-	// ErrSession marks a malformed session context: a zero session ID on a
-	// version-5 session-suffixed frame (session 0 must encode at the
-	// frame's classic version) or in a control frame requiring one.
+	// ErrSession marks a malformed session context: a session-flagged
+	// frame with session 0 or of a control type, or a control frame whose
+	// payload requires a nonzero session and carries 0.
 	ErrSession = errors.New("wire: invalid session ID")
 )
 
 // Frame is one protocol message. Implementations are small value types;
-// encoding is allocation-free via AppendTo.
+// encoding into a caller's buffer (AppendSession) is allocation-free.
 type Frame interface {
 	// Type returns the frame's type byte.
 	Type() byte
@@ -242,7 +216,8 @@ type Frame interface {
 	payloadSize() int
 	// appendPayload appends the payload encoding to dst.
 	appendPayload(dst []byte) []byte
-	// decodePayload parses a payload of exactly payloadSize bytes.
+	// decodePayload parses a payload: exactly payloadSize bytes for the
+	// fixed-size types, self-delimiting for the columnar ones.
 	decodePayload(p []byte) error
 }
 
@@ -383,57 +358,25 @@ func (v *Verdict) decodePayload(p []byte) error {
 	return nil
 }
 
-// Append appends f's full wire encoding (length prefix, version, type,
-// payload) to dst and returns the extended slice. Frames encoded this way
-// carry no trace context and are stamped MinVersion — byte-identical to the
-// pre-trace protocol.
-func Append(dst []byte, f Frame) []byte {
-	return AppendTraced(dst, f, TraceContext{})
-}
-
-// AppendTraced appends f's wire encoding carrying tc. A context with a zero
-// trace ID is treated as absent and encodes exactly like Append; a nonzero
-// one adds the 16-byte suffix — stamping single-vote frames at TraceVersion
-// and setting the trace flag on batch frames (which are always stamped
-// BatchVersion). Batch frames encode their raw (uncompressed) form here;
-// use a BatchEncoder to opportunistically compress.
-func AppendTraced(dst []byte, f Frame, tc TraceContext) []byte {
-	switch t := f.Type(); t {
-	case TypeVoteBatch, TypeVoteBatchZ:
-		return appendFlaggedFrame(dst, BatchVersion, t, f.payloadSize(), f.appendPayload, tc)
-	case TypeAggHello, TypePartialVerdict:
-		return appendFlaggedFrame(dst, PartialVersion, t, f.payloadSize(), f.appendPayload, tc)
-	case TypeSessionOpen, TypeSessionAccept, TypeSessionReject, TypeSessionReport:
-		return appendFlaggedFrame(dst, SessionVersion, t, f.payloadSize(), f.appendPayload, tc)
-	}
-	if tc.IsZero() {
-		n := 2 + f.payloadSize() // version + type + payload
-		dst = binary.BigEndian.AppendUint32(dst, uint32(n))
-		dst = append(dst, MinVersion, f.Type())
-		return f.appendPayload(dst)
-	}
-	n := 2 + f.payloadSize() + traceContextBytes
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
-	dst = append(dst, TraceVersion, f.Type())
-	dst = f.appendPayload(dst)
-	dst = binary.BigEndian.AppendUint64(dst, tc.Trace)
-	return binary.BigEndian.AppendUint64(dst, tc.Span)
-}
-
-// appendFlaggedFrame writes a frame whose type byte's high bit flags the
-// trace suffix (batch and aggregation versions): the payload producer is a
-// callback so raw VoteBatch encoding, pre-compressed payloads and partial
-// verdicts all share the header/suffix logic.
-func appendFlaggedFrame(dst []byte, version, typ byte, size int, payload func([]byte) []byte, tc TraceContext) []byte {
+// appendFrame is the one frame encoder: length prefix, version, flagged
+// type byte, the size-byte payload written by payload, then the session
+// and trace suffixes. The flags follow the values, so the encoding is
+// canonical by construction.
+func appendFrame(dst []byte, typ byte, size int, payload func([]byte) []byte, session uint32, tc TraceContext) []byte {
 	n := 2 + size
-	t := typ
+	if session != 0 {
+		n += sessionBytes
+		typ |= sessionFlag
+	}
 	if !tc.IsZero() {
 		n += traceContextBytes
-		t |= traceFlag
+		typ |= traceFlag
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
-	dst = append(dst, version, t)
-	dst = payload(dst)
+	dst = payload(append(dst, Version, typ))
+	if session != 0 {
+		dst = binary.BigEndian.AppendUint32(dst, session)
+	}
 	if !tc.IsZero() {
 		dst = binary.BigEndian.AppendUint64(dst, tc.Trace)
 		dst = binary.BigEndian.AppendUint64(dst, tc.Span)
@@ -441,50 +384,110 @@ func appendFlaggedFrame(dst []byte, version, typ byte, size int, payload func([]
 	return dst
 }
 
-// EncodedSize returns the full untraced on-wire size of f including the
-// length prefix.
-func EncodedSize(f Frame) int { return headerBytes + 2 + f.payloadSize() }
+// AppendSession appends f's wire encoding bound to session and carrying
+// tc to dst. Session 0 and a zero tc add no suffix. Session control
+// frames carry their session inside the payload and never take the
+// suffix, whatever session says. Columnar frames encode raw here; use a
+// BatchEncoder to compress, and AppendPartialSession or
+// AppendSessionReport to enforce their caps.
+func AppendSession(dst []byte, f Frame, session uint32, tc TraceContext) []byte {
+	if isControl(f.Type()) {
+		session = 0
+	}
+	return appendFrame(dst, f.Type(), f.payloadSize(), f.appendPayload, session, tc)
+}
+
+// Append appends f's wire encoding, with neither suffix, to dst.
+func Append(dst []byte, f Frame) []byte { return AppendSession(dst, f, 0, TraceContext{}) }
+
+// AppendTraced appends f's wire encoding carrying tc to dst.
+func AppendTraced(dst []byte, f Frame, tc TraceContext) []byte { return AppendSession(dst, f, 0, tc) }
+
+// isControl reports whether t is a session control type, which binds its
+// session in the payload rather than through the session suffix.
+func isControl(t byte) bool { return t >= TypeSessionOpen && t <= TypeSessionReport }
+
+// EncodedSizeSession returns the on-wire size of f, length prefix
+// included, when bound to session and carrying tc.
+func EncodedSizeSession(f Frame, session uint32, tc TraceContext) int {
+	n := headerBytes + 2 + f.payloadSize()
+	if session != 0 && !isControl(f.Type()) {
+		n += sessionBytes
+	}
+	if !tc.IsZero() {
+		n += traceContextBytes
+	}
+	return n
+}
+
+// EncodedSize returns the on-wire size of f with neither suffix.
+func EncodedSize(f Frame) int { return EncodedSizeSession(f, 0, TraceContext{}) }
 
 // EncodedSizeTraced returns the on-wire size of f when carrying tc.
-func EncodedSizeTraced(f Frame, tc TraceContext) int {
-	if tc.IsZero() {
-		return EncodedSize(f)
+func EncodedSizeTraced(f Frame, tc TraceContext) int { return EncodedSizeSession(f, 0, tc) }
+
+// WriteFrameSession writes f's encoding bound to session and carrying tc
+// to w in one Write call (frames are small enough that partial writes
+// only occur on a failing connection).
+func WriteFrameSession(w io.Writer, f Frame, session uint32, tc TraceContext) error {
+	buf := AppendSession(make([]byte, 0, EncodedSizeSession(f, session, tc)), f, session, tc)
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("wire: write %T: %w", f, err)
 	}
-	return EncodedSize(f) + traceContextBytes
+	return nil
+}
+
+// WriteFrame writes f's encoding, with neither suffix, to w.
+func WriteFrame(w io.Writer, f Frame) error { return WriteFrameSession(w, f, 0, TraceContext{}) }
+
+// WriteFrameTraced writes f's encoding carrying tc to w.
+func WriteFrameTraced(w io.Writer, f Frame, tc TraceContext) error {
+	return WriteFrameSession(w, f, 0, tc)
 }
 
 // Decode parses one frame from the front of b, returning the frame and the
 // number of bytes consumed (any trace context is validated but dropped; use
 // DecodeTraced to keep it). An incomplete buffer returns ErrTruncated (a
 // stream reader should read more and retry); a malformed one returns
-// ErrOversize, ErrVersion, ErrUnknownType, ErrFrameSize or ErrTraceContext.
+// ErrOversize, ErrVersion, ErrUnknownType, ErrFrameSize, ErrTraceContext or
+// ErrSession.
 func Decode(b []byte) (Frame, int, error) {
 	f, _, n, err := DecodeTraced(b)
 	return f, n, err
 }
 
-// DecodeTraced parses one frame and its trace context from the front of b.
-// The context is zero for version-1 frames.
+// DecodeTraced parses one frame and its trace context from the front of b,
+// validating but dropping any session context.
 func DecodeTraced(b []byte) (Frame, TraceContext, int, error) {
 	if len(b) < headerBytes {
 		return nil, TraceContext{}, 0, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(b))
 	}
-	n := binary.BigEndian.Uint32(b)
-	if n > MaxBatchFrameBytes {
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: declared %d bytes (limit %d)", ErrOversize, n, MaxBatchFrameBytes)
+	n, err := bodyLen(b)
+	if err != nil {
+		return nil, TraceContext{}, 0, err
 	}
-	if n < 2 {
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: declared %d bytes, need ≥ 2", ErrFrameSize, n)
-	}
-	total := headerBytes + int(n)
+	total := headerBytes + n
 	if len(b) < total {
 		return nil, TraceContext{}, 0, fmt.Errorf("%w: have %d of %d bytes", ErrTruncated, len(b), total)
 	}
-	f, tc, err := decodeBody(b[headerBytes:total], nil)
+	f, tc, _, err := decodeBodyAll(b[headerBytes:total], nil)
 	if err != nil {
 		return nil, TraceContext{}, 0, err
 	}
 	return f, tc, total, nil
+}
+
+// bodyLen reads and bounds a frame's length prefix: at least the version
+// and type bytes, at most the largest per-type cap.
+func bodyLen(head []byte) (int, error) {
+	n := binary.BigEndian.Uint32(head)
+	if n > MaxBatchFrameBytes {
+		return 0, fmt.Errorf("%w: declared %d bytes (limit %d)", ErrOversize, n, MaxBatchFrameBytes)
+	}
+	if n < 2 {
+		return 0, fmt.Errorf("%w: declared %d bytes, need ≥ 2", ErrFrameSize, n)
+	}
+	return int(n), nil
 }
 
 // DecodeScratch holds reusable frame values and buffers so a steady-state
@@ -492,53 +495,26 @@ func DecodeTraced(b []byte) (Frame, TraceContext, int, error) {
 // decode are only valid until the next decode with the same scratch; each
 // connection handler owns its own scratch.
 type DecodeScratch struct {
-	hello   Hello
-	vote    Vote
-	sketch  Sketch
-	done    Done
-	verdict Verdict
-	batch   VoteBatch
-	// aggHello and partial back the aggregation-tier frame types.
+	hello    Hello
+	vote     Vote
+	sketch   Sketch
+	done     Done
+	verdict  Verdict
+	batch    VoteBatch
 	aggHello AggHello
 	partial  PartialVerdict
-	// open, accept, reject and report back the session control types.
-	open   SessionOpen
-	accept SessionAccept
-	reject SessionReject
-	report SessionReport
+	open     SessionOpen
+	accept   SessionAccept
+	reject   SessionReject
+	report   SessionReport
 	// zbuf holds a decompressed batch payload between decodes.
 	zbuf []byte
 }
 
-// decodeBody parses version, type, payload and optional trace context from
-// a complete frame body, validating but dropping any session context. With
-// a non-nil scratch the returned frame aliases scratch storage instead of
-// allocating.
-func decodeBody(body []byte, sc *DecodeScratch) (Frame, TraceContext, error) {
-	f, tc, _, err := decodeBodyAll(body, sc)
-	return f, tc, err
-}
-
-// scratchSingleFrame returns the scratch-held value for a single-vote
-// frame type (nil scratch allocates). The scratch values avoid a per-frame
-// allocation on the referee's hot decode loop; decodePayload writes every
-// field (all payloads are fixed-shape), so no reset between reuses is
-// needed.
-func scratchSingleFrame(t byte, sc *DecodeScratch) Frame {
-	if sc == nil {
-		switch t {
-		case TypeHello:
-			return &Hello{}
-		case TypeVote:
-			return &Vote{}
-		case TypeSketch:
-			return &Sketch{}
-		case TypeDone:
-			return &Done{}
-		default:
-			return &Verdict{}
-		}
-	}
+// frame returns the scratch-held value for frame type t. Every
+// decodePayload writes all of its fields (the columnar ones reslice and
+// clear their reused slices), so no reset between reuses is needed.
+func (sc *DecodeScratch) frame(t byte) Frame {
 	switch t {
 	case TypeHello:
 		return &sc.hello
@@ -548,156 +524,149 @@ func scratchSingleFrame(t byte, sc *DecodeScratch) Frame {
 		return &sc.sketch
 	case TypeDone:
 		return &sc.done
-	default:
+	case TypeVerdict:
 		return &sc.verdict
+	case TypeVoteBatch, TypeVoteBatchZ:
+		return &sc.batch
+	case TypeAggHello:
+		return &sc.aggHello
+	case TypePartialVerdict:
+		return &sc.partial
+	case TypeSessionOpen:
+		return &sc.open
+	case TypeSessionAccept:
+		return &sc.accept
+	case TypeSessionReject:
+		return &sc.reject
+	default:
+		return &sc.report
 	}
 }
 
-// decodeBodyAll is the full-fidelity body decoder: frame, trace context
-// and session ID (zero below SessionVersion and for control frames, which
-// carry any session identity in their payload instead).
+// decodeBodyAll is the one frame decoder. It checks the version, strips
+// the flags, applies the type's frame cap, peels the trace and session
+// suffixes, and parses the payload. With a non-nil scratch the returned
+// frame aliases scratch storage instead of allocating.
 func decodeBodyAll(body []byte, sc *DecodeScratch) (Frame, TraceContext, uint32, error) {
-	v := body[0]
-	if v < MinVersion || v > Version {
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: got %d, want %d..%d", ErrVersion, v, MinVersion, Version)
+	if len(body) < 2 {
+		return nil, TraceContext{}, 0, fmt.Errorf("%w: %d-byte frame body", ErrFrameSize, len(body))
 	}
-	switch v {
-	case BatchVersion:
-		f, tc, err := decodeBatchBody(body, sc)
-		return f, tc, 0, err
-	case PartialVersion:
-		f, tc, err := decodePartialBody(body, sc)
-		return f, tc, 0, err
-	case SessionVersion:
-		return decodeSessionBody(body, sc)
+	if body[0] != Version {
+		return nil, TraceContext{}, 0, fmt.Errorf("%w: got %d, want %d", ErrVersion, body[0], Version)
 	}
-	var f Frame
-	switch t := body[1]; t {
-	case TypeHello, TypeVote, TypeSketch, TypeDone, TypeVerdict:
-		f = scratchSingleFrame(t, sc)
-	case TypeVoteBatch, TypeVoteBatchZ:
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: batch type %d requires v%d, got v%d",
-			ErrVersion, t, BatchVersion, v)
-	case TypeAggHello, TypePartialVerdict:
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: aggregation type %d requires v%d, got v%d",
-			ErrVersion, t, PartialVersion, v)
-	case TypeSessionOpen, TypeSessionAccept, TypeSessionReject, TypeSessionReport:
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: session type %d requires v%d, got v%d",
-			ErrVersion, t, SessionVersion, v)
-	default:
+	flags, t := body[1]&^typeMask, body[1]&typeMask
+	if t < TypeHello || t > TypeSessionReport {
 		return nil, TraceContext{}, 0, fmt.Errorf("%w: type %d", ErrUnknownType, t)
 	}
-	payload := body[2:]
-	var tc TraceContext
-	if v >= TraceVersion {
-		// Version 2 requires the trace-context suffix.
-		want := f.payloadSize() + traceContextBytes
-		if len(payload) != want {
-			return nil, TraceContext{}, 0, fmt.Errorf("%w: type %d v%d payload %d bytes, want %d",
-				ErrFrameSize, body[1], v, len(payload), want)
-		}
-		tail := payload[f.payloadSize():]
-		tc.Trace = binary.BigEndian.Uint64(tail[:8])
-		tc.Span = binary.BigEndian.Uint64(tail[8:])
-		if tc.Trace == 0 {
-			return nil, TraceContext{}, 0, fmt.Errorf("%w: zero trace ID on a v%d frame", ErrTraceContext, v)
-		}
-		payload = payload[:f.payloadSize()]
-	} else if len(payload) != f.payloadSize() {
-		return nil, TraceContext{}, 0, fmt.Errorf("%w: type %d payload %d bytes, want %d",
-			ErrFrameSize, body[1], len(payload), f.payloadSize())
-	}
-	if err := f.decodePayload(payload); err != nil {
-		return nil, TraceContext{}, 0, err
-	}
-	return f, tc, 0, nil
-}
-
-// decodeBatchBody parses a BatchVersion frame body: trace flag in the type
-// byte, batch payload (optionally compressed), optional trace suffix.
-func decodeBatchBody(body []byte, sc *DecodeScratch) (Frame, TraceContext, error) {
-	t := body[1]
-	base := t &^ traceFlag
-	if base != TypeVoteBatch && base != TypeVoteBatchZ {
-		if base >= TypeHello && base <= TypeSessionReport {
-			// Every type has exactly one valid version; re-encoding another
-			// type at v3 would break the canonical-bytes invariant.
-			return nil, TraceContext{}, fmt.Errorf("%w: type %d not valid at v%d", ErrVersion, base, BatchVersion)
-		}
-		return nil, TraceContext{}, fmt.Errorf("%w: type %d", ErrUnknownType, base)
-	}
-	if len(body) > FrameCap(base) {
-		return nil, TraceContext{}, fmt.Errorf("%w: %d-byte %s frame (limit %d)",
-			ErrOversize, len(body), TypeName(base), FrameCap(base))
+	if len(body) > FrameCap(t) {
+		return nil, TraceContext{}, 0, fmt.Errorf("%w: %d-byte %s frame (limit %d)",
+			ErrOversize, len(body), TypeName(t), FrameCap(t))
 	}
 	payload := body[2:]
 	var tc TraceContext
-	if t&traceFlag != 0 {
+	if flags&traceFlag != 0 {
 		if len(payload) < traceContextBytes {
-			return nil, TraceContext{}, fmt.Errorf("%w: traced %s frame with %d-byte body",
-				ErrFrameSize, TypeName(base), len(body))
+			return nil, TraceContext{}, 0, fmt.Errorf("%w: traced %s frame with %d-byte body",
+				ErrFrameSize, TypeName(t), len(body))
 		}
 		tail := payload[len(payload)-traceContextBytes:]
 		tc.Trace = binary.BigEndian.Uint64(tail[:8])
 		tc.Span = binary.BigEndian.Uint64(tail[8:])
 		if tc.Trace == 0 {
-			return nil, TraceContext{}, fmt.Errorf("%w: zero trace ID on a v%d frame", ErrTraceContext, BatchVersion)
+			return nil, TraceContext{}, 0, fmt.Errorf("%w: zero trace ID on a traced frame", ErrTraceContext)
 		}
 		payload = payload[:len(payload)-traceContextBytes]
 	}
-	vb, err := decodeBatchPayload(base, payload, sc)
-	if err != nil {
-		return nil, TraceContext{}, err
-	}
-	return vb, tc, nil
-}
-
-// decodeBatchPayload parses a raw or compressed batch payload (shared by
-// the v3 and v5 decode paths).
-func decodeBatchPayload(base byte, payload []byte, sc *DecodeScratch) (*VoteBatch, error) {
-	var vb *VoteBatch
-	if sc != nil {
-		vb = &sc.batch
-	} else {
-		vb = &VoteBatch{}
-	}
-	if base == TypeVoteBatch {
-		vb.Compressed, vb.Saved = false, 0
-		if err := vb.decodePayload(payload); err != nil {
-			return nil, err
+	var session uint32
+	if flags&sessionFlag != 0 {
+		if isControl(t) {
+			return nil, TraceContext{}, 0, fmt.Errorf("%w: session flag on control type %s", ErrSession, TypeName(t))
 		}
-		return vb, nil
+		if len(payload) < sessionBytes {
+			return nil, TraceContext{}, 0, fmt.Errorf("%w: %s frame missing session suffix", ErrFrameSize, TypeName(t))
+		}
+		session = binary.BigEndian.Uint32(payload[len(payload)-sessionBytes:])
+		if session == 0 {
+			return nil, TraceContext{}, 0, fmt.Errorf("%w: session flag with session 0", ErrSession)
+		}
+		payload = payload[:len(payload)-sessionBytes]
 	}
-	raw, saved, err := decodeZPayload(payload, sc)
+	if sc == nil {
+		sc = &DecodeScratch{}
+	}
+	f := sc.frame(t)
+	var err error
+	switch t {
+	case TypeVoteBatchZ:
+		err = sc.batch.decodeZPayload(payload, &sc.zbuf)
+	case TypeVoteBatch, TypePartialVerdict, TypeSessionReport:
+		// Columnar payloads delimit themselves.
+		err = f.decodePayload(payload)
+	default:
+		if len(payload) != f.payloadSize() {
+			return nil, TraceContext{}, 0, fmt.Errorf("%w: %s payload %d bytes, want %d",
+				ErrFrameSize, TypeName(t), len(payload), f.payloadSize())
+		}
+		err = f.decodePayload(payload)
+	}
 	if err != nil {
-		return nil, err
+		return nil, TraceContext{}, 0, err
 	}
-	if err := vb.decodePayload(raw); err != nil {
-		return nil, err
-	}
-	vb.Compressed, vb.Saved = true, saved
-	return vb, nil
+	return f, tc, session, nil
 }
 
-// WriteFrame writes f's encoding to w in one Write call (frames are small
-// enough that partial writes only occur on a failing connection).
-func WriteFrame(w io.Writer, f Frame) error {
-	return WriteFrameTraced(w, f, TraceContext{})
+// DecodeBodySession parses a complete frame body (version, type, payload,
+// suffixes) as returned by Reader.ReadBody, returning the frame, its trace
+// context and its session (0 without the session suffix). With a non-nil
+// scratch the frame aliases scratch storage and is only valid until the
+// next decode with the same scratch, so steady-state decode allocates
+// nothing.
+func DecodeBodySession(body []byte, sc *DecodeScratch) (Frame, TraceContext, uint32, error) {
+	return decodeBodyAll(body, sc)
 }
 
-// WriteFrameTraced writes f's encoding carrying tc to w in one Write call.
-func WriteFrameTraced(w io.Writer, f Frame, tc TraceContext) error {
-	buf := make([]byte, 0, EncodedSizeTraced(f, tc))
-	buf = AppendTraced(buf, f, tc)
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("wire: write %T: %w", f, err)
+// DecodeBodyScratch is DecodeBodySession without the session.
+func DecodeBodyScratch(body []byte, sc *DecodeScratch) (Frame, TraceContext, error) {
+	f, tc, _, err := decodeBodyAll(body, sc)
+	return f, tc, err
+}
+
+// DecodeBody is DecodeBodyScratch without scratch: the frame is freshly
+// allocated.
+func DecodeBody(body []byte) (Frame, TraceContext, error) { return DecodeBodyScratch(body, nil) }
+
+// BodyType returns the frame type of an encoded frame body with the flags
+// stripped, or 0 when the body is too short to carry one. It never
+// validates the body — use it to route a frame before the full decode,
+// never instead of it.
+func BodyType(body []byte) byte {
+	if len(body) < 2 {
+		return 0
 	}
-	return nil
+	return body[1] & typeMask
+}
+
+// SessionOf returns the session a frame body's suffix binds it to, or 0
+// when the session flag is clear or the body is too short to carry the
+// suffix (which the full decode rejects). Like BodyType it is a routing
+// peek, not a validator.
+func SessionOf(body []byte) uint32 {
+	if len(body) < 2 || body[1]&sessionFlag == 0 {
+		return 0
+	}
+	end := len(body)
+	if body[1]&traceFlag != 0 {
+		end -= traceContextBytes
+	}
+	if end < 2+sessionBytes {
+		return 0
+	}
+	return binary.BigEndian.Uint32(body[end-sessionBytes : end])
 }
 
 // Reader decodes a frame stream from an io.Reader with reusable buffers:
-// an inline array covering every single-vote frame and a lazily-allocated,
-// reused spill buffer for batch frames (bounded by MaxBatchFrameBytes).
+// an inline array covering every fixed-size frame and a lazily-allocated,
+// reused spill buffer for columnar frames (bounded by MaxBatchFrameBytes).
 type Reader struct {
 	r   io.Reader
 	big []byte
@@ -707,16 +676,16 @@ type Reader struct {
 // NewReader wraps r as a frame stream.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
-// ReadFrame reads and decodes the next frame, dropping any trace context.
-// io.EOF is returned unwrapped at a clean frame boundary; an EOF mid-frame
-// surfaces as ErrTruncated.
+// ReadFrame reads and decodes the next frame, dropping any trace and
+// session context. io.EOF is returned unwrapped at a clean frame boundary;
+// an EOF mid-frame surfaces as ErrTruncated.
 func (r *Reader) ReadFrame() (Frame, error) {
 	f, _, err := r.ReadFrameTraced()
 	return f, err
 }
 
 // ReadFrameTraced reads and decodes the next frame along with its trace
-// context (zero for version-1 frames).
+// context.
 func (r *Reader) ReadFrameTraced() (Frame, TraceContext, error) {
 	body, err := r.ReadBody()
 	if err != nil {
@@ -725,32 +694,9 @@ func (r *Reader) ReadFrameTraced() (Frame, TraceContext, error) {
 	return DecodeBody(body)
 }
 
-// DecodeBody parses a complete frame body (version, type, payload, optional
-// trace context) as returned by Reader.ReadBody. Callers that want to time
-// decoding separately from blocking I/O use ReadBody + DecodeBody; the
-// fused form is ReadFrameTraced.
-func DecodeBody(body []byte) (Frame, TraceContext, error) {
-	return decodeBody(body, nil)
-}
-
-// DecodeBodyScratch is DecodeBody with caller-owned scratch: the returned
-// frame aliases scratch storage, so steady-state decode allocates nothing.
-// The frame is only valid until the next decode with the same scratch.
-func DecodeBodyScratch(body []byte, sc *DecodeScratch) (Frame, TraceContext, error) {
-	return decodeBody(body, sc)
-}
-
-// DecodeBodySession is the session-aware form of DecodeBodyScratch: it
-// additionally returns the frame's session ID — zero for frames below
-// SessionVersion and for the session control types, which carry any
-// session identity inside their payload. Scratch may be nil.
-func DecodeBodySession(body []byte, sc *DecodeScratch) (Frame, TraceContext, uint32, error) {
-	return decodeBodyAll(body, sc)
-}
-
 // ReadBody reads the next frame's body into the reader's internal buffer
 // and returns it without decoding. The slice is only valid until the next
-// read call. Single-vote bodies land in a fixed inline array; batch-sized
+// read call. Fixed-size bodies land in a fixed inline array; columnar
 // bodies use a second buffer that is allocated on first use and reused for
 // the life of the reader, so steady-state reads allocate nothing.
 func (r *Reader) ReadBody() ([]byte, error) {
@@ -764,29 +710,19 @@ func (r *Reader) ReadBody() ([]byte, error) {
 		}
 		return nil, fmt.Errorf("wire: read header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(head)
-	if n > MaxBatchFrameBytes {
-		return nil, fmt.Errorf("%w: declared %d bytes (limit %d)", ErrOversize, n, MaxBatchFrameBytes)
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("%w: declared %d bytes, need ≥ 2", ErrFrameSize, n)
+	n, err := bodyLen(head)
+	if err != nil {
+		return nil, err
 	}
 	var body []byte
 	if n <= MaxFrameBytes {
-		body = r.buf[headerBytes : headerBytes+int(n)]
+		body = r.buf[headerBytes : headerBytes+n]
 	} else {
-		if cap(r.big) < int(n) {
+		if cap(r.big) < n {
 			// Grow geometrically to the declared size: steady-state streams
 			// reuse the buffer, and a reader of small batches never pays for
 			// the full MaxBatchFrameBytes cap.
-			want := 2 * cap(r.big)
-			if want < int(n) {
-				want = int(n)
-			}
-			if want > MaxBatchFrameBytes {
-				want = MaxBatchFrameBytes
-			}
-			r.big = make([]byte, want)
+			r.big = make([]byte, min(max(2*cap(r.big), n), MaxBatchFrameBytes))
 		}
 		body = r.big[:n]
 	}

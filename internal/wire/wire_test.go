@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -96,13 +97,13 @@ func TestDecodeRejectsOversize(t *testing.T) {
 	}
 	// The 64-byte CONGEST-mirror cap still applies to single-vote types:
 	// a vote frame padded past MaxFrameBytes is a protocol error even
-	// though the stream-level cap now admits larger (batch) frames.
+	// though the stream-level cap admits larger (batch) frames.
 	var v []byte
 	v = binary.BigEndian.AppendUint32(v, MaxFrameBytes+1)
-	v = append(v, MinVersion, TypeVote)
+	v = append(v, Version, TypeVote)
 	v = append(v, make([]byte, MaxFrameBytes-1)...)
-	if _, _, err := Decode(v); !errors.Is(err, ErrFrameSize) {
-		t.Fatalf("oversize vote err = %v, want ErrFrameSize", err)
+	if _, _, err := Decode(v); !errors.Is(err, ErrOversize) {
+		t.Fatalf("oversize vote err = %v, want ErrOversize", err)
 	}
 }
 
@@ -126,10 +127,16 @@ func TestDecodeRejectsWrongPayloadSize(t *testing.T) {
 	// A Done frame claiming a Hello-sized payload.
 	var b []byte
 	b = binary.BigEndian.AppendUint32(b, 2+12)
-	b = append(b, MinVersion, TypeDone)
+	b = append(b, Version, TypeDone)
 	b = append(b, make([]byte, 12)...)
 	if _, _, err := Decode(b); !errors.Is(err, ErrFrameSize) {
 		t.Fatalf("err = %v, want ErrFrameSize", err)
+	}
+	// A body too short to hold the version and type bytes.
+	for _, short := range [][]byte{nil, {Version}} {
+		if _, _, _, err := DecodeBodySession(short, nil); !errors.Is(err, ErrFrameSize) {
+			t.Fatalf("%d-byte body: err = %v, want ErrFrameSize", len(short), err)
+		}
 	}
 }
 
@@ -147,9 +154,6 @@ func TestTracedRoundTripEveryType(t *testing.T) {
 		buf := AppendTraced(nil, f, tc)
 		if len(buf) != EncodedSizeTraced(f, tc) {
 			t.Errorf("%T: encoded %d bytes, EncodedSizeTraced says %d", f, len(buf), EncodedSizeTraced(f, tc))
-		}
-		if buf[4] != TraceVersion {
-			t.Errorf("%T: traced frame stamped version %d, want %d", f, buf[4], TraceVersion)
 		}
 		got, gotTC, n, err := DecodeTraced(buf)
 		if err != nil {
@@ -202,18 +206,124 @@ func TestTracedReaderStream(t *testing.T) {
 	}
 }
 
-// TestVersionNegotiation pins the cross-version contract: v1 frames (the
-// pre-trace encoding) decode with a zero context, v2 frames require a
-// well-formed trace context, and a v-next frame is rejected with ErrVersion
-// rather than a panic.
+// layoutCases is one frame of every type with its encoded length (prefix
+// included) without suffixes, with a session, with a trace, and with both.
+// The lengths are pinned because the byte accounting (Stats.Bytes, the
+// benchmark's bytes per vote) is reported in them. Control types ignore
+// the session, so their session columns repeat the sessionless sizes.
+var layoutCases = []struct {
+	name string
+	typ  byte // the on-wire type: votebatchz encodes a VoteBatch compressed
+	f    Frame
+	size [4]int
+}{
+	{"hello", TypeHello, &Hello{Node: 7, K: 2000, Trials: 60}, [4]int{18, 22, 34, 38}},
+	{"vote", TypeVote, &Vote{Trial: 3, Node: 1999, Reject: true}, [4]int{15, 19, 31, 35}},
+	{"sketch", TypeSketch, &Sketch{Trial: 12, Node: 5, Samples: 48, Collisions: 2}, [4]int{22, 26, 38, 42}},
+	{"done", TypeDone, &Done{Node: 42}, [4]int{10, 14, 26, 30}},
+	{"verdict", TypeVerdict, &Verdict{Trials: 60, Accepts: 59, Missing: 3}, [4]int{18, 22, 34, 38}},
+	{"votebatch", TypeVoteBatch, &VoteBatch{Votes: seqVotes(3, 9, false)}, [4]int{28, 32, 44, 48}},
+	{"votebatchz", TypeVoteBatchZ, &VoteBatch{Votes: seqVotes(7, 512, false)}, [4]int{33, 37, 49, 53}},
+	{"agghello", TypeAggHello, &AggHello{Agg: 2, K: 100, Trials: 7, Lo: 10, Hi: 20}, [4]int{26, 30, 42, 46}},
+	{"partialverdict", TypePartialVerdict, samplePartial(), [4]int{21, 25, 37, 41}},
+	{"sessionopen", TypeSessionOpen, &SessionOpen{Tenant: 5, K: 100, Trials: 7, Seed: 99,
+		Rule: RuleThreshold, Thresh: 11, Sketch: true, EarlyClose: true}, [4]int{32, 32, 48, 48}},
+	{"sessionaccept", TypeSessionAccept, &SessionAccept{Session: 12, Tenant: 5}, [4]int{14, 14, 30, 30}},
+	{"sessionreject", TypeSessionReject, &SessionReject{Tenant: 5, Reason: RejectBudget}, [4]int{11, 11, 27, 27}},
+	{"sessionreport", TypeSessionReport, &SessionReport{Session: 12, K: 10, Verdicts: []bool{true, false, true},
+		Rejects: []uint32{0, 4, 1}, Votes: []uint32{10, 9, 10}, Missing: []uint32{0, 1, 0}}, [4]int{25, 25, 41, 41}},
+}
+
+// TestFrameLayout pins the one frame layout for every type × {trace, no
+// trace} × {session, none}: the header bytes, the exact encoded length,
+// the decode∘encode round trip with the routing peeks, and the typed
+// rejection of every non-canonical variant.
+func TestFrameLayout(t *testing.T) {
+	tc := TraceContext{Trace: 0xdeadbeefcafef00d, Span: 0x0123456789abcdef}
+	var sc DecodeScratch
+	for _, c := range layoutCases {
+		for i, ctx := range []TraceContext{{}, tc} {
+			for j, session := range []uint32{0, 7} {
+				name := fmt.Sprintf("%s/trace=%v/session=%d", c.name, !ctx.IsZero(), session)
+				var enc []byte
+				if b, ok := c.f.(*VoteBatch); ok {
+					var e BatchEncoder
+					var err error
+					if enc, err = e.AppendSession(nil, b, session, ctx, true); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				} else {
+					enc = AppendSession(nil, c.f, session, ctx)
+				}
+				if len(enc) != c.size[2*i+j] {
+					t.Errorf("%s: encoded %d bytes, want %d", name, len(enc), c.size[2*i+j])
+				}
+				wantSess, typeByte := session, c.typ
+				if isControl(c.typ) {
+					wantSess = 0
+				}
+				if wantSess != 0 {
+					typeByte |= sessionFlag
+				}
+				if !ctx.IsZero() {
+					typeByte |= traceFlag
+				}
+				if enc[4] != Version || enc[5] != typeByte {
+					t.Errorf("%s: header %#x %#x, want %#x %#x", name, enc[4], enc[5], Version, typeByte)
+				}
+				body := enc[4:]
+				got, gotTC, gotSess, err := DecodeBodySession(body, &sc)
+				if err != nil {
+					t.Fatalf("%s: decode: %v", name, err)
+				}
+				if gotSess != wantSess || gotTC != ctx || !framesEqual(got, c.f) {
+					t.Errorf("%s: round trip: got (%#v, %+v, session %d)", name, got, gotTC, gotSess)
+				}
+				if BodyType(body) != c.typ || SessionOf(body) != wantSess {
+					t.Errorf("%s: peeks type %d session %d", name, BodyType(body), SessionOf(body))
+				}
+
+				reject := func(what string, want error, mutate func(b []byte)) {
+					t.Helper()
+					b := append([]byte(nil), body...)
+					mutate(b)
+					if _, _, _, err := DecodeBodySession(b, nil); !errors.Is(err, want) {
+						t.Errorf("%s: %s: err = %v, want %v", name, what, err, want)
+					}
+				}
+				reject("version 0", ErrVersion, func(b []byte) { b[0] = 0 })
+				reject("next version", ErrVersion, func(b []byte) { b[0] = Version + 1 })
+				reject("type 0", ErrUnknownType, func(b []byte) { b[1] &^= typeMask })
+				reject("type bits past the range", ErrUnknownType, func(b []byte) { b[1] |= typeMask })
+				suffixEnd := len(body)
+				if !ctx.IsZero() {
+					suffixEnd -= traceContextBytes
+					reject("flagged zero trace", ErrTraceContext, func(b []byte) { clear(b[suffixEnd : suffixEnd+8]) })
+				}
+				if wantSess != 0 {
+					reject("flagged session 0", ErrSession, func(b []byte) { clear(b[suffixEnd-sessionBytes : suffixEnd]) })
+				}
+				if isControl(c.typ) {
+					reject("session flag on a control type", ErrSession, func(b []byte) { b[1] |= sessionFlag })
+				}
+			}
+		}
+	}
+}
+
+// TestVersionNegotiation pins the one-version contract on the stream
+// paths: an untraced frame is the bare version-1 layout and decodes with
+// a zero context, a trace flag and its suffix bytes must come together,
+// and a frame from a later version is rejected with ErrVersion rather
+// than a panic.
 func TestVersionNegotiation(t *testing.T) {
 	vote := &Vote{Trial: 3, Node: 9, Reject: true}
 	tc := TraceContext{Trace: 77, Span: 88}
 
 	t.Run("v1 accepted without context", func(t *testing.T) {
 		b := Append(nil, vote)
-		if b[4] != MinVersion {
-			t.Fatalf("untraced frame stamped version %d, want %d", b[4], MinVersion)
+		if b[4] != Version || b[5] != TypeVote {
+			t.Fatalf("untraced frame header %#x %#x, want %#x %#x", b[4], b[5], Version, TypeVote)
 		}
 		f, gotTC, _, err := DecodeTraced(b)
 		if err != nil || !gotTC.IsZero() || !reflect.DeepEqual(f, vote) {
@@ -227,44 +337,15 @@ func TestVersionNegotiation(t *testing.T) {
 	})
 	t.Run("v1 with trailing context bytes rejected", func(t *testing.T) {
 		b := AppendTraced(nil, vote, tc)
-		b[4] = MinVersion // claim v1 while carrying the 16-byte suffix
-		binary.BigEndian.PutUint32(b, uint32(len(b)-headerBytes))
+		b[5] &^= traceFlag // drop the flag while carrying the 16-byte suffix
 		if _, _, err := Decode(b); !errors.Is(err, ErrFrameSize) {
 			t.Fatalf("err = %v, want ErrFrameSize", err)
 		}
-	})
-	t.Run("v2 without context rejected", func(t *testing.T) {
-		b := Append(nil, vote)
-		b[4] = TraceVersion
+		// And the converse: the flag without the suffix bytes.
+		b = Append(nil, vote)
+		b[5] |= traceFlag
 		if _, _, err := Decode(b); !errors.Is(err, ErrFrameSize) {
-			t.Fatalf("err = %v, want ErrFrameSize", err)
-		}
-	})
-	t.Run("v2 with zero trace ID rejected", func(t *testing.T) {
-		b := AppendTraced(nil, vote, tc)
-		zero := make([]byte, 8)
-		copy(b[len(b)-traceContextBytes:], zero)
-		if _, _, err := Decode(b); !errors.Is(err, ErrTraceContext) {
-			t.Fatalf("err = %v, want ErrTraceContext", err)
-		}
-	})
-	t.Run("old type at v3 rejected", func(t *testing.T) {
-		// Batch framing is v3-only; re-encoding a single-vote type there
-		// would give it a second byte representation.
-		b := Append(nil, vote)
-		b[4] = BatchVersion
-		if _, _, err := Decode(b); !errors.Is(err, ErrVersion) {
-			t.Fatalf("err = %v, want ErrVersion", err)
-		}
-	})
-	t.Run("batch type below v3 rejected", func(t *testing.T) {
-		vb := &VoteBatch{Votes: []BatchVote{{Trial: 1, Node: 2, Reject: true}}}
-		for _, ver := range []byte{MinVersion, TraceVersion} {
-			b := Append(nil, vb)
-			b[4] = ver
-			if _, _, err := Decode(b); !errors.Is(err, ErrVersion) {
-				t.Fatalf("v%d batch err = %v, want ErrVersion", ver, err)
-			}
+			t.Fatalf("flag without suffix: err = %v, want ErrFrameSize", err)
 		}
 	})
 	t.Run("v-next rejected gracefully", func(t *testing.T) {
