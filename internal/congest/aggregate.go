@@ -205,13 +205,13 @@ func (nd *aggNode) handle(port int, m message) {
 			nd.enqueue(port, message{typ: msgAccept, a: uint64(root)})
 			for p := 0; p < nd.ctx.Degree; p++ {
 				if p != port {
-					nd.enqueue(p, message{typ: msgAnnounce, a: uint64(root), b: uint64(nd.dist)})
+					nd.enqueue(p, message{typ: msgAnnounce, a: uint64(root), b: uint32(nd.dist)})
 					nd.pending[p] = true
 				}
 			}
 			return
 		}
-		nd.enqueue(port, message{typ: msgReject, a: m.a, b: uint64(nd.root)})
+		nd.enqueue(port, message{typ: msgReject, a: m.a, b: uint32(nd.root)})
 	case msgAccept:
 		if int(m.a) == nd.root && nd.pending[port] {
 			delete(nd.pending, port)
@@ -270,7 +270,7 @@ func (nd *aggNode) step() {
 	}
 	if !nd.isRoot() {
 		nd.completeSent = true
-		packed := uint64(size) & completeSizeMask
+		packed := uint32(size) & completeSizeMask
 		if nd.sawBigger {
 			packed |= completeBiggerBit
 		}
@@ -315,7 +315,7 @@ func (nd *aggNode) flush() []simnet.PortMessage {
 				continue
 			}
 			nd.outQ[p] = nd.outQ[p][1:]
-			out = append(out, simnet.PortMessage{Port: p, Payload: encode(m)})
+			out = append(out, simnet.PortMessage{Port: p, Payload: appendMessage(nil, m)})
 			break
 		}
 	}

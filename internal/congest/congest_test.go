@@ -25,7 +25,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		{typ: msgDecision, a: 1},
 	}
 	for _, m := range msgs {
-		payload := encode(m)
+		payload := appendMessage(nil, m)
 		if len(payload) > congestBandwidth {
 			t.Errorf("type %d: %d bytes exceeds CONGEST budget", m.typ, len(payload))
 		}
@@ -361,10 +361,10 @@ func TestRunUniformityRejectsTinyTau(t *testing.T) {
 
 func TestBuildNodesValidation(t *testing.T) {
 	g := graph.NewLine(3)
-	if _, _, err := buildNodes(g, []uint64{1}, ModePackagingOnly, 2, 0, nil); err == nil {
+	if _, err := buildNodes(g, []uint64{1}, ModePackagingOnly, 2, 0, nil); err == nil {
 		t.Error("token/node mismatch accepted")
 	}
-	if _, _, err := buildNodes(g, []uint64{1, 2, 3}, ModePackagingOnly, 0, 0, nil); err == nil {
+	if _, err := buildNodes(g, []uint64{1, 2, 3}, ModePackagingOnly, 0, 0, nil); err == nil {
 		t.Error("τ=0 accepted")
 	}
 }

@@ -49,11 +49,11 @@ func RunTokenPackagingTraced(g *graph.Graph, tokens []uint64, tau int, seed uint
 // bound on the simulator's node-execution pool (0 means GOMAXPROCS); the
 // result is identical at any value.
 func RunTokenPackagingTracedWorkers(g *graph.Graph, tokens []uint64, tau int, seed uint64, tracer simnet.Tracer, workers int) (PackagingResult, error) {
-	nodes, impls, err := buildNodes(g, tokens, ModePackagingOnly, tau, 0, nil)
+	a, err := buildNodes(g, tokens, ModePackagingOnly, tau, 0, nil)
 	if err != nil {
 		return PackagingResult{}, err
 	}
-	stats, err := simnet.Run(g, nodes, simnet.Config{
+	stats, err := simnet.Run(g, a.sim, simnet.Config{
 		MaxBytesPerMessage: congestBandwidth,
 		Seed:               seed,
 		Tracer:             tracer,
@@ -67,18 +67,19 @@ func RunTokenPackagingTracedWorkers(g *graph.Graph, tokens []uint64, tau int, se
 		PerNodePackages: make([]int, g.N()),
 		Root:            -1,
 	}
-	for v, nd := range impls {
+	for v := range a.nodes {
+		nd := &a.nodes[v]
 		if nd.Err() != nil {
 			return PackagingResult{}, fmt.Errorf("congest: node %d: %w", v, nd.Err())
 		}
-		res.Packages = append(res.Packages, nd.packages...)
-		res.PerNodePackages[v] = len(nd.packages)
+		res.Packages = nd.appendPackages(res.Packages)
+		res.PerNodePackages[v] = int(nd.packages)
 		if nd.isRoot() {
 			if res.Root != -1 {
 				return PackagingResult{}, fmt.Errorf("congest: multiple roots %d and %d", res.Root, v)
 			}
 			res.Root = v
-			res.Discarded = nd.discarded
+			res.Discarded = int(nd.discarded)
 		}
 	}
 	if res.Root == -1 {
@@ -125,11 +126,11 @@ func RunUniformityTracedWorkers(g *graph.Graph, tokens []uint64, p Params, seed 
 	if p.Tau < 2 {
 		return UniformityResult{}, fmt.Errorf("congest: package size τ=%d < 2", p.Tau)
 	}
-	nodes, impls, err := buildNodes(g, tokens, ModeUniformity, p.Tau, p.T, nil)
+	a, err := buildNodes(g, tokens, ModeUniformity, p.Tau, p.T, nil)
 	if err != nil {
 		return UniformityResult{}, err
 	}
-	stats, err := simnet.Run(g, nodes, simnet.Config{
+	stats, err := simnet.Run(g, a.sim, simnet.Config{
 		MaxBytesPerMessage: congestBandwidth,
 		Seed:               seed,
 		Tracer:             tracer,
@@ -138,35 +139,40 @@ func RunUniformityTracedWorkers(g *graph.Graph, tokens []uint64, p Params, seed 
 	if err != nil {
 		return UniformityResult{}, err
 	}
-	return collectUniformity(stats, impls)
+	return collectUniformity(stats, a.nodes, true)
 }
 
-// collectUniformity gathers the per-node outcomes of a uniformity run.
-func collectUniformity(stats simnet.Stats, impls []*node) (UniformityResult, error) {
+// collectUniformity gathers the per-node outcomes of a uniformity run;
+// Packages is filled only when packages is set, and then aliases the
+// nodes' token buffers.
+func collectUniformity(stats simnet.Stats, nodes []node, packages bool) (UniformityResult, error) {
 	res := UniformityResult{
 		Stats: stats,
 		Root:  -1,
 	}
-	for v, nd := range impls {
+	for v := range nodes {
+		nd := &nodes[v]
 		if nd.Err() != nil {
 			return UniformityResult{}, fmt.Errorf("congest: node %d: %w", v, nd.Err())
 		}
 		if nd.decision < 0 {
 			return UniformityResult{}, fmt.Errorf("congest: node %d ended without a decision", v)
 		}
-		res.Packages = append(res.Packages, nd.packages...)
+		if packages {
+			res.Packages = nd.appendPackages(res.Packages)
+		}
 		if nd.isRoot() {
 			if res.Root != -1 {
 				return UniformityResult{}, fmt.Errorf("congest: multiple roots %d and %d", res.Root, v)
 			}
 			res.Root = v
-			res.Discarded = nd.discarded
+			res.Discarded = int(nd.discarded)
 			res.Accept = nd.decision == 1
-			res.Rejects = nd.totalRejects
-			res.Virtuals = nd.totalVirtuals
-			res.DiscoveredK = nd.treeSize
-			res.Tau = nd.tau
-			res.T = nd.t
+			res.Rejects = int(nd.totalRejects)
+			res.Virtuals = int(nd.totalVirtuals)
+			res.DiscoveredK = int(nd.treeSize)
+			res.Tau = int(nd.tau)
+			res.T = int(nd.t)
 		}
 	}
 	if res.Root == -1 {
@@ -204,18 +210,18 @@ func RunUniformityUnknownK(g *graph.Graph, tokens []uint64, n int, eps float64, 
 		}
 		return p.Tau, p.T, nil
 	}
-	nodes, impls, err := buildNodes(g, tokens, ModeUniformity, 0, 0, solver)
+	a, err := buildNodes(g, tokens, ModeUniformity, 0, 0, solver)
 	if err != nil {
 		return UniformityResult{}, err
 	}
-	stats, err := simnet.Run(g, nodes, simnet.Config{
+	stats, err := simnet.Run(g, a.sim, simnet.Config{
 		MaxBytesPerMessage: congestBandwidth,
 		Seed:               seed,
 	})
 	if err != nil {
 		return UniformityResult{}, err
 	}
-	return collectUniformity(stats, impls)
+	return collectUniformity(stats, a.nodes, true)
 }
 
 // EstimateError runs trials executions on fresh samples from d and returns
@@ -234,33 +240,10 @@ func EstimateError(g *graph.Graph, d dist.Distribution, p Params, wantAccept boo
 	return float64(wrong) / float64(trials), nil
 }
 
-func buildNodes(g *graph.Graph, tokens []uint64, mode Mode, tau, threshold int, solver func(k int) (int, int, error)) ([]simnet.Node, []*node, error) {
-	if len(tokens) != g.N() {
-		return nil, nil, fmt.Errorf("congest: %d tokens for %d nodes", len(tokens), g.N())
-	}
-	per := make([][]uint64, len(tokens))
-	for v, tok := range tokens {
-		per[v] = []uint64{tok}
-	}
-	return buildNodesMulti(g, per, mode, tau, threshold, solver)
-}
-
-// buildNodesMulti is buildNodes for the multi-sample generalization: node v
-// starts with the sample multiset tokensPerNode[v].
-func buildNodesMulti(g *graph.Graph, tokensPerNode [][]uint64, mode Mode, tau, threshold int, solver func(k int) (int, int, error)) ([]simnet.Node, []*node, error) {
-	if len(tokensPerNode) != g.N() {
-		return nil, nil, fmt.Errorf("congest: %d token sets for %d nodes", len(tokensPerNode), g.N())
-	}
-	if tau < 1 && solver == nil {
-		return nil, nil, fmt.Errorf("congest: package size τ=%d < 1", tau)
-	}
-	nodes := make([]simnet.Node, g.N())
-	impls := make([]*node, g.N())
-	for v := range nodes {
-		impls[v] = newNode(mode, tau, threshold, tokensPerNode[v], solver)
-		nodes[v] = impls[v]
-	}
-	return nodes, impls, nil
+// buildNodes returns a fresh arena on g armed with one sample per node.
+func buildNodes(g *graph.Graph, tokens []uint64, mode Mode, tau, threshold int, solver func(k int) (int, int, error)) (*arena, error) {
+	a := newArena(g)
+	return a, a.armSingle(tokens, mode, tau, threshold, solver)
 }
 
 // RunUniformityMulti runs the uniformity protocol with s ≥ 1 samples per
@@ -271,16 +254,16 @@ func RunUniformityMulti(g *graph.Graph, tokensPerNode [][]uint64, p Params, seed
 	if p.Tau < 2 {
 		return UniformityResult{}, fmt.Errorf("congest: package size τ=%d < 2", p.Tau)
 	}
-	nodes, impls, err := buildNodesMulti(g, tokensPerNode, ModeUniformity, p.Tau, p.T, nil)
-	if err != nil {
+	a := newArena(g)
+	if err := a.armMulti(tokensPerNode, ModeUniformity, p.Tau, p.T, nil); err != nil {
 		return UniformityResult{}, err
 	}
-	stats, err := simnet.Run(g, nodes, simnet.Config{
+	stats, err := simnet.Run(g, a.sim, simnet.Config{
 		MaxBytesPerMessage: congestBandwidth,
 		Seed:               seed,
 	})
 	if err != nil {
 		return UniformityResult{}, err
 	}
-	return collectUniformity(stats, impls)
+	return collectUniformity(stats, a.nodes, true)
 }

@@ -39,31 +39,32 @@ const (
 	msgDecision
 )
 
+// maxMessageBytes is the longest encoding: a type byte and 8 payload bytes.
+const maxMessageBytes = 9
+
 // message is the decoded form of a wire payload.
 type message struct {
-	typ msgType
 	// a, b are the two generic fields: (root, dist) for announce,
 	// (root, 0) for accept/reject, (root, size) for complete,
 	// (tau, T) for start, (c, 0) for count, (value, 0) for token,
-	// (rejects, virtuals) for report, (accept, 0) for decision.
-	a, b uint64
+	// (rejects, virtuals) for report, (accept, 0) for decision. Only a
+	// token's a uses more than 32 bits.
+	a   uint64
+	b   uint32
+	typ msgType
 }
 
-func encode(m message) []byte {
+// appendMessage appends m's encoding to dst.
+func appendMessage(dst []byte, m message) []byte {
+	dst = append(dst, byte(m.typ))
 	switch m.typ {
 	case msgTokDone:
-		return []byte{byte(m.typ)}
+		return dst
 	case msgToken:
-		buf := make([]byte, 9)
-		buf[0] = byte(m.typ)
-		binary.LittleEndian.PutUint64(buf[1:], m.a)
-		return buf
+		return binary.LittleEndian.AppendUint64(dst, m.a)
 	default:
-		buf := make([]byte, 9)
-		buf[0] = byte(m.typ)
-		binary.LittleEndian.PutUint32(buf[1:], uint32(m.a))
-		binary.LittleEndian.PutUint32(buf[5:], uint32(m.b))
-		return buf
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.a))
+		return binary.LittleEndian.AppendUint32(dst, m.b)
 	}
 }
 
@@ -87,7 +88,7 @@ func decode(payload []byte) (message, error) {
 			return message{}, fmt.Errorf("congest: bad %d-byte message type %d", len(payload), m.typ)
 		}
 		m.a = uint64(binary.LittleEndian.Uint32(payload[1:]))
-		m.b = uint64(binary.LittleEndian.Uint32(payload[5:]))
+		m.b = binary.LittleEndian.Uint32(payload[5:])
 	default:
 		return message{}, fmt.Errorf("congest: unknown message type %d", m.typ)
 	}

@@ -4,13 +4,18 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/unifdist/unifdist/internal/graph"
 	"github.com/unifdist/unifdist/internal/rng"
 	"github.com/unifdist/unifdist/internal/simnet"
 )
 
-// newTestNode wires a node with a 3-port context for white-box tests.
+// newTestNode wires a node with degree ports for white-box tests: the
+// center of a star arena, initialized as vertex id.
 func newTestNode(id, degree int, tau int) *node {
-	nd := newNode(ModePackagingOnly, tau, 0, []uint64{uint64(100 + id)}, nil)
+	a := newArena(graph.NewStar(degree + 1))
+	a.cfg = nodeConfig{mode: ModePackagingOnly, tau: tau}
+	nd := &a.nodes[0]
+	nd.tokens = []uint64{uint64(100 + id)}
 	nd.Init(&simnet.Context{ID: id, Degree: degree, NumNodes: 10, RNG: rng.New(uint64(id))})
 	return nd
 }
@@ -178,7 +183,10 @@ func TestNodeInvalidStartParams(t *testing.T) {
 }
 
 func TestNodeSolverFailureSurfaces(t *testing.T) {
-	nd := newNode(ModePackagingOnly, 0, 0, []uint64{1}, nil)
+	a := newArena(graph.New(1, "single"))
+	a.cfg = nodeConfig{mode: ModePackagingOnly}
+	nd := &a.nodes[0]
+	nd.tokens = []uint64{1}
 	nd.Init(&simnet.Context{ID: 9, Degree: 0, NumNodes: 1, RNG: rng.New(1)})
 	nd.step() // lone root completes; no params and no solver
 	if nd.err == nil || !strings.Contains(nd.err.Error(), "no parameters") {
@@ -195,5 +203,21 @@ func TestHasCollisionPackage(t *testing.T) {
 	}
 	if hasCollision(nil) {
 		t.Error("empty package flagged")
+	}
+	// Packages above 32 samples take the sorted-copy path, which must not
+	// reorder the package itself.
+	big := make([]uint64, 40)
+	for i := range big {
+		big[i] = uint64(1000 - 7*i)
+	}
+	if hasCollision(big) {
+		t.Error("distinct 40-sample package flagged")
+	}
+	big[39] = big[3]
+	if !hasCollision(big) {
+		t.Error("colliding 40-sample package missed")
+	}
+	if big[0] != 1000 || big[39] != big[3] {
+		t.Error("collision check reordered the package")
 	}
 }

@@ -24,7 +24,8 @@ import (
 //     total is a commutative sum, so the estimate is schedule-independent;
 //   - each trial's simulator runs single-threaded (simnet.Config.Workers=1)
 //     so trial-level parallelism is not oversubscribed by node-level
-//     parallelism;
+//     parallelism, on its worker's trial arena, which Init fully resets,
+//     so a trial's outcome does not depend on what the worker ran before;
 //   - on error the failure of the lowest trial index wins, which is what a
 //     sequential loop over the same indexed streams would report first.
 //
@@ -50,14 +51,14 @@ func EstimateErrorParallel(g *graph.Graph, d dist.Distribution, p Params, wantAc
 
 	// runRange executes trials [lo, hi) on worker-owned scratch and reports
 	// the wrong-verdict count plus the first (lowest-index) failure.
-	runRange := func(lo, hi int, gen *rng.RNG, tokens []uint64) (int, int, error) {
+	runRange := func(lo, hi int, w *trialWorker) (int, int, error) {
 		wrong := 0
 		for i := lo; i < hi; i++ {
-			gen.SeedAt(base, uint64(i))
-			for v := range tokens {
-				tokens[v] = uint64(d.Sample(gen))
+			w.gen.SeedAt(base, uint64(i))
+			for v := range w.tokens {
+				w.tokens[v] = uint64(d.Sample(&w.gen))
 			}
-			res, err := runUniformityTrial(g, tokens, p, gen.Uint64())
+			res, err := w.run(g, p, w.gen.Uint64())
 			if err != nil {
 				return wrong, i, err
 			}
@@ -69,7 +70,7 @@ func EstimateErrorParallel(g *graph.Graph, d dist.Distribution, p Params, wantAc
 	}
 
 	if workers == 1 {
-		wrong, _, err := runRange(0, trials, rng.New(0), make([]uint64, g.N()))
+		wrong, _, err := runRange(0, trials, newTrialWorker(g))
 		if err != nil {
 			return 0, err
 		}
@@ -94,8 +95,7 @@ func EstimateErrorParallel(g *graph.Graph, d dist.Distribution, p Params, wantAc
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			gen := rng.New(0)
-			tokens := make([]uint64, g.N())
+			tw := newTrialWorker(g)
 			local := 0
 			for {
 				lo := int(next.Add(int64(chunk))) - chunk
@@ -106,7 +106,7 @@ func EstimateErrorParallel(g *graph.Graph, d dist.Distribution, p Params, wantAc
 				if hi > trials {
 					hi = trials
 				}
-				wrong, idx, err := runRange(lo, hi, gen, tokens)
+				wrong, idx, err := runRange(lo, hi, tw)
 				local += wrong
 				if err != nil {
 					mu.Lock()
@@ -127,14 +127,25 @@ func EstimateErrorParallel(g *graph.Graph, d dist.Distribution, p Params, wantAc
 	return float64(int(total.Load())) / float64(trials), nil
 }
 
-// runUniformityTrial is one estimator trial: a single-threaded simulation
+// trialWorker is one estimator worker's trial arena: a node arena on the
+// graph, the trial's samples and its generator, all re-armed per trial.
+type trialWorker struct {
+	arena  *arena
+	tokens []uint64
+	gen    rng.RNG
+}
+
+func newTrialWorker(g *graph.Graph) *trialWorker {
+	return &trialWorker{arena: newArena(g), tokens: make([]uint64, g.N())}
+}
+
+// run is one estimator trial on w.tokens: a single-threaded simulation
 // (trial-level parallelism already saturates the cores) with no tracer.
-func runUniformityTrial(g *graph.Graph, tokens []uint64, p Params, seed uint64) (UniformityResult, error) {
-	nodes, impls, err := buildNodes(g, tokens, ModeUniformity, p.Tau, p.T, nil)
-	if err != nil {
+func (w *trialWorker) run(g *graph.Graph, p Params, seed uint64) (UniformityResult, error) {
+	if err := w.arena.armSingle(w.tokens, ModeUniformity, p.Tau, p.T, nil); err != nil {
 		return UniformityResult{}, err
 	}
-	stats, err := simnet.Run(g, nodes, simnet.Config{
+	stats, err := simnet.Run(g, w.arena.sim, simnet.Config{
 		MaxBytesPerMessage: congestBandwidth,
 		Seed:               seed,
 		Workers:            1,
@@ -142,5 +153,5 @@ func runUniformityTrial(g *graph.Graph, tokens []uint64, p Params, seed uint64) 
 	if err != nil {
 		return UniformityResult{}, err
 	}
-	return collectUniformity(stats, impls)
+	return collectUniformity(stats, w.arena.nodes, false)
 }

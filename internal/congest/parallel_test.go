@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/unifdist/unifdist/internal/dist"
@@ -68,6 +69,77 @@ func TestEstimateErrorParallelPropagatesError(t *testing.T) {
 	}
 }
 
+// TestTrialArenaRearmMatchesFresh checks that a re-armed trial arena
+// carries nothing over between runs: every trial on one trialWorker must
+// match a run on a freshly built arena, whatever ran before it.
+func TestTrialArenaRearmMatchesFresh(t *testing.T) {
+	const n = 256
+	p := Params{Tau: 5, T: 3}
+	for _, g := range []*graph.Graph{graph.NewGrid(6, 7), graph.NewLine(30), graph.NewStar(25)} {
+		w := newTrialWorker(g)
+		r := rng.New(3)
+		dists := []dist.Distribution{dist.NewUniform(n), dist.NewTwoBump(n, 1, 9)}
+		for trial := 0; trial < 6; trial++ {
+			d := dists[trial%2]
+			for v := range w.tokens {
+				w.tokens[v] = uint64(d.Sample(r))
+			}
+			seed := r.Uint64()
+			got, err := w.run(g, p, seed)
+			if err != nil {
+				t.Fatalf("%s trial %d: %v", g.Name(), trial, err)
+			}
+			want, err := RunUniformity(g, w.tokens, p, seed)
+			if err != nil {
+				t.Fatalf("%s trial %d fresh: %v", g.Name(), trial, err)
+			}
+			want.Packages = nil
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s trial %d: re-armed %+v, fresh %+v", g.Name(), trial, got, want)
+			}
+		}
+	}
+}
+
+// TestTrialAllocsIndependentOfRounds pins the trial arena's allocation
+// contract: once warm, a re-armed trial allocates only the simulator's
+// per-run contexts — one slab plus one generator per node — so a line,
+// which runs ten times the grid's rounds at the same k, allocates no more.
+func TestTrialAllocsIndependentOfRounds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops pooled engines at random")
+	}
+	const k = 400
+	p := Params{Tau: 5, T: 3}
+	var rounds [2]int
+	for i, g := range []*graph.Graph{graph.NewGrid(20, 20), graph.NewLine(k)} {
+		w := newTrialWorker(g)
+		r := rng.New(1)
+		d := dist.NewUniform(256)
+		trial := func() {
+			for v := range w.tokens {
+				w.tokens[v] = uint64(d.Sample(r))
+			}
+			res, err := w.run(g, p, r.Uint64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rounds[i] = res.Stats.Rounds
+		}
+		for warm := 0; warm < 3; warm++ {
+			trial()
+		}
+		// A pool refill after a collection may add a few; k+2 leaves room.
+		if allocs := testing.AllocsPerRun(20, trial); allocs > k+2 {
+			t.Errorf("%s: %.1f allocations per re-armed trial over %d rounds, want ≤ %d",
+				g.Name(), allocs, rounds[i], k+2)
+		}
+	}
+	if rounds[1] < 5*rounds[0] {
+		t.Fatalf("line ran %d rounds, grid %d: the pin needs a wide spread", rounds[1], rounds[0])
+	}
+}
+
 // benchUniformityEngine measures one full uniformity run per iteration on
 // the given simulator engine — the CONGEST-path before/after pair for the
 // flat engine (BenchmarkUniformityFlat vs BenchmarkUniformityChannelRef).
@@ -88,15 +160,15 @@ func benchUniformityEngine(b *testing.B, engine func(*graph.Graph, []simnet.Node
 		for v := range tokens {
 			tokens[v] = uint64(d.Sample(r))
 		}
-		nodes, impls, err := buildNodes(g, tokens, ModeUniformity, p.Tau, p.T, nil)
+		a, err := buildNodes(g, tokens, ModeUniformity, p.Tau, p.T, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		stats, err := engine(g, nodes, simnet.Config{MaxBytesPerMessage: congestBandwidth, Seed: r.Uint64()})
+		stats, err := engine(g, a.sim, simnet.Config{MaxBytesPerMessage: congestBandwidth, Seed: r.Uint64()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := collectUniformity(stats, impls); err != nil {
+		if _, err := collectUniformity(stats, a.nodes, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -133,15 +205,15 @@ func TestUniformityEnginesAgree(t *testing.T) {
 		seed := r.Uint64()
 
 		run := func(engine func(*graph.Graph, []simnet.Node, simnet.Config) (simnet.Stats, error)) (UniformityResult, error) {
-			nodes, impls, err := buildNodes(g, tokens, ModeUniformity, p.Tau, p.T, nil)
+			a, err := buildNodes(g, tokens, ModeUniformity, p.Tau, p.T, nil)
 			if err != nil {
 				return UniformityResult{}, err
 			}
-			stats, err := engine(g, nodes, simnet.Config{MaxBytesPerMessage: congestBandwidth, Seed: seed})
+			stats, err := engine(g, a.sim, simnet.Config{MaxBytesPerMessage: congestBandwidth, Seed: seed})
 			if err != nil {
 				return UniformityResult{}, err
 			}
-			return collectUniformity(stats, impls)
+			return collectUniformity(stats, a.nodes, true)
 		}
 		flat, ferr := run(simnet.Run)
 		legacy, lerr := run(simnet.RunChannel)

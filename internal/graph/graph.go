@@ -9,7 +9,11 @@ package graph
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"github.com/unifdist/unifdist/internal/rng"
 )
@@ -118,13 +122,9 @@ func (g *Graph) BFS(root int) (distance, parent []int) {
 
 // IsConnected reports whether the graph is connected.
 func (g *Graph) IsConnected() bool {
-	distance, _ := g.BFS(0)
-	for _, d := range distance {
-		if d == -1 {
-			return false
-		}
-	}
-	return true
+	s := newBFSScratch(len(g.adj))
+	s.run(g, 0, -1)
+	return len(s.queue) == len(g.adj)
 }
 
 // Eccentricity returns the maximum BFS distance from v. It panics if the
@@ -143,16 +143,87 @@ func (g *Graph) Eccentricity(v int) int {
 	return max
 }
 
-// Diameter returns the exact diameter via all-pairs BFS. It panics if the
-// graph is disconnected.
+// Diameter returns the exact diameter: the largest eccentricity, found by a
+// BFS from every vertex. The sources are spread over GOMAXPROCS workers,
+// each reusing one scratch BFS, so the searches allocate nothing; the
+// maximum does not depend on which worker saw it. It panics, on the
+// caller's goroutine, if the graph is disconnected.
 func (g *Graph) Diameter() int {
-	max := 0
-	for v := range g.adj {
-		if e := g.Eccentricity(v); e > max {
-			max = e
+	n := len(g.adj)
+	if !g.IsConnected() {
+		panic("graph: eccentricity of a disconnected graph")
+	}
+	workers := min(runtime.GOMAXPROCS(0), n)
+	best := make([]int32, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range best {
+		go func() {
+			defer wg.Done()
+			s := newBFSScratch(n)
+			for {
+				lo := int(next.Add(diameterChunk)) - diameterChunk
+				if lo >= n {
+					return
+				}
+				for v := lo; v < min(lo+diameterChunk, n); v++ {
+					s.run(g, v, -1)
+					best[w] = max(best[w], s.dist[s.queue[len(s.queue)-1]])
+					s.reset()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return int(slices.Max(best))
+}
+
+// diameterChunk is how many BFS sources a Diameter worker claims at once.
+const diameterChunk = 16
+
+// bfsScratch is one reusable breadth-first search: queue lists the reached
+// vertices in BFS order, so the last one is the farthest, and dist holds
+// their distances (−1 for every other vertex).
+type bfsScratch struct {
+	dist  []int32
+	queue []int32
+}
+
+func newBFSScratch(n int) *bfsScratch {
+	s := &bfsScratch{dist: make([]int32, n), queue: make([]int32, 0, n)}
+	for i := range s.dist {
+		s.dist[i] = -1
+	}
+	return s
+}
+
+// run searches from src, to depth limit when limit ≥ 0. s must be fresh
+// or reset.
+func (s *bfsScratch) run(g *Graph, src int, limit int32) {
+	s.dist[src] = 0
+	s.queue = append(s.queue, int32(src))
+	for head := 0; head < len(s.queue); head++ {
+		v := s.queue[head]
+		d := s.dist[v]
+		if d == limit {
+			continue
+		}
+		for _, w := range g.adj[v] {
+			if s.dist[w] < 0 {
+				s.dist[w] = d + 1
+				s.queue = append(s.queue, int32(w))
+			}
 		}
 	}
-	return max
+}
+
+// reset clears the distances of the vertices the last run reached.
+func (s *bfsScratch) reset() {
+	for _, v := range s.queue {
+		s.dist[v] = -1
+	}
+	s.queue = s.queue[:0]
 }
 
 // Power returns G^r: vertices are the same and {u, v} is an edge iff their
@@ -163,33 +234,17 @@ func (g *Graph) Power(r int) *Graph {
 	}
 	n := len(g.adj)
 	p := New(n, fmt.Sprintf("%s^%d", g.name, r))
+	s := newBFSScratch(n)
+	limit := int32(min(r, n))
 	for v := 0; v < n; v++ {
-		// Bounded BFS to depth r.
-		distance := make([]int, n)
-		for i := range distance {
-			distance[i] = -1
-		}
-		distance[v] = 0
-		queue := []int{v}
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			if distance[x] == r {
-				continue
-			}
-			for _, w := range g.adj[x] {
-				if distance[w] == -1 {
-					distance[w] = distance[x] + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		for w := v + 1; w < n; w++ {
-			if distance[w] >= 1 && distance[w] <= r {
-				p.adj[v] = append(p.adj[v], w)
+		s.run(g, v, limit)
+		for _, w := range s.queue[1:] {
+			if int(w) > v {
+				p.adj[v] = append(p.adj[v], int(w))
 				p.adj[w] = append(p.adj[w], v)
 			}
 		}
+		s.reset()
 	}
 	p.sortAdj()
 	return p

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -204,6 +206,90 @@ func TestEccentricityVsDiameter(t *testing.T) {
 	}
 	if got := g.Eccentricity(10); got != 10 {
 		t.Errorf("middle eccentricity %d, want 10", got)
+	}
+}
+
+// generatorFamilies returns one graph from every generator.
+func generatorFamilies() []*Graph {
+	return []*Graph{
+		NewLine(37),
+		NewRing(41),
+		NewStar(30),
+		NewComplete(12),
+		NewGrid(7, 9),
+		NewBalancedTree(50, 3),
+		NewRandomConnected(60, 0.05, 4),
+		New(1, "single"),
+	}
+}
+
+// atProcs runs f with GOMAXPROCS set to each of 1, 2 and 8: the worker
+// counts Diameter's parallel sweep must not depend on.
+func atProcs(t *testing.T, f func(procs int)) {
+	t.Helper()
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		f(procs)
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestDiameterMatchesEccentricities checks the parallel scratch-BFS
+// Diameter against the largest per-vertex Eccentricity, which runs the
+// plain BFS.
+func TestDiameterMatchesEccentricities(t *testing.T) {
+	atProcs(t, func(procs int) {
+		for _, g := range generatorFamilies() {
+			want := 0
+			for v := 0; v < g.N(); v++ {
+				want = max(want, g.Eccentricity(v))
+			}
+			if got := g.Diameter(); got != want {
+				t.Errorf("GOMAXPROCS=%d %s: Diameter = %d, max eccentricity %d", procs, g.Name(), got, want)
+			}
+		}
+	})
+}
+
+// TestDiameterDisconnectedPanicsOnCaller checks that a disconnected graph
+// panics on the caller's goroutine, where recover sees it; a panic on a
+// worker goroutine would kill the test binary instead.
+func TestDiameterDisconnectedPanicsOnCaller(t *testing.T) {
+	g := New(6, "two paths")
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	atProcs(t, func(procs int) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("GOMAXPROCS=%d: disconnected Diameter did not panic", procs)
+			}
+		}()
+		g.Diameter()
+	})
+}
+
+// TestPowerMatchesDistances checks the scratch-BFS Power against the plain
+// BFS distances on every generator, with sorted neighbor lists.
+func TestPowerMatchesDistances(t *testing.T) {
+	for _, g := range generatorFamilies() {
+		for _, r := range []int{1, 2, 5} {
+			p := g.Power(r)
+			for u := 0; u < g.N(); u++ {
+				distance, _ := g.BFS(u)
+				var want []int
+				for v, d := range distance {
+					if d >= 1 && d <= r {
+						want = append(want, v)
+					}
+				}
+				if got := p.Neighbors(u); !slices.Equal(got, want) {
+					t.Fatalf("%s^%d: neighbors of %d = %v, want %v", g.Name(), r, u, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,12 +34,14 @@ import (
 //     after Round returns cannot corrupt a neighbor's inbox.
 //
 // Steady-state allocation. The per-topology CSR tables (adjacency, reverse
-// ports) are compiled once and cached across runs; inboxes are
-// double-buffered arenas sized by total degree, so routing appends never
-// allocate once the payload arenas have grown to the peak round volume; the
-// duplicate-port check is a degree-bounded bitset cleared by re-walking the
-// node's outbox; and the active set is compacted in place so late rounds
-// only touch live nodes.
+// ports) are compiled once and cached across runs, and so are finished
+// engines, pooled per topology. Inboxes are compact delivery slots sized by
+// total degree over double-buffered payload arenas, so routing appends
+// never allocate once the payload arenas have grown to the peak round
+// volume; a run allocates only its nodes' contexts (one slab) and
+// generators. The duplicate-port check is a degree-bounded bitset cleared
+// by re-walking the node's outbox, and the active set is compacted in
+// place so late rounds only touch live nodes.
 
 // topology is the CSR-flattened form of a graph: node v's ports are the
 // slots start[v] … start[v+1]−1 of the flat edge arrays.
@@ -50,6 +53,8 @@ type topology struct {
 	// u's neighbor list — where a message sent by v on that port lands.
 	revPort []int32
 	maxDeg  int
+	// engines pools finished engines for reuse by later runs on the graph.
+	engines sync.Pool
 }
 
 // edges returns the directed edge count (Σ degrees).
@@ -128,19 +133,29 @@ type nodeResult struct {
 	done bool
 }
 
+// delivery is a routed message: the receiving port and the payload's
+// extent in the payload arena.
+type delivery struct {
+	port, off, n int32
+}
+
 // engine is the per-Run state of the flat round engine.
 type engine struct {
 	tp    *topology
 	nodes []Node
 	cfg   Config
 
-	// Double-buffered inbox arenas: cur is consumed this round, next is
-	// filled by routing. Slot start[v]+i holds v's i-th delivered message.
-	cur, next       []PortMessage
-	curCnt, nextCnt []int32
-	// payNext is the copy-on-deliver payload arena for the round being
-	// routed; payCur backs the inboxes currently being consumed.
+	// Inboxes. Routing records v's i-th delivery in the compact slot
+	// box[start[v]+i] (boxCnt[v] slots in all), its payload copied into
+	// payNext; routing runs only after every node of the round returned,
+	// so one set of slots suffices. Payloads stay double-buffered, because
+	// an outbox may forward bytes from payCur.
+	box             []delivery
+	boxCnt          []int32
 	payCur, payNext []byte
+	// inboxes[w] is execution worker w's maxDeg-entry scratch, into which
+	// runNode expands a node's slots just before its Round.
+	inboxes [][]PortMessage
 
 	results    []nodeResult
 	active     []bool
@@ -166,10 +181,8 @@ func (e *engine) run() (Stats, error) {
 			cfg.Tracer.OnRoundStart(stats.Rounds, len(e.activeList))
 		}
 		e.execRound()
-		// Reset the next-round buffers, then route serially in node order.
-		for i := range e.nextCnt {
-			e.nextCnt[i] = 0
-		}
+		// Reset the inboxes, then route serially in node order.
+		clear(e.boxCnt)
 		e.payNext = e.payNext[:0]
 		newActive := e.activeList[:0]
 		for _, v32 := range e.activeList {
@@ -189,8 +202,6 @@ func (e *engine) run() (Stats, error) {
 			res.out = nil
 		}
 		e.activeList = newActive
-		e.cur, e.next = e.next, e.cur
-		e.curCnt, e.nextCnt = e.nextCnt, e.curCnt
 		e.payCur, e.payNext = e.payNext, e.payCur
 	}
 	if remaining := len(e.activeList); remaining > 0 {
@@ -210,9 +221,12 @@ func (e *engine) execRound() {
 	if workers > n {
 		workers = n
 	}
+	for len(e.inboxes) < max(workers, 1) {
+		e.inboxes = append(e.inboxes, make([]PortMessage, e.tp.maxDeg))
+	}
 	if workers <= 1 {
 		for _, v := range e.activeList {
-			e.runNode(int(v))
+			e.runNode(int(v), e.inboxes[0])
 		}
 		return
 	}
@@ -221,7 +235,7 @@ func (e *engine) execRound() {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
+		go func(inbox []PortMessage) {
 			defer wg.Done()
 			for {
 				lo := int(next.Add(int64(chunk))) - chunk
@@ -233,10 +247,10 @@ func (e *engine) execRound() {
 					hi = n
 				}
 				for _, v := range e.activeList[lo:hi] {
-					e.runNode(int(v))
+					e.runNode(int(v), inbox)
 				}
 			}
-		}()
+		}(e.inboxes[w])
 	}
 	wg.Wait()
 }
@@ -255,12 +269,35 @@ func engineChunk(n, workers int) int {
 	return chunk
 }
 
-// runNode executes node v's round on its current inbox slice.
-func (e *engine) runNode(v int) {
-	base := e.tp.start[v]
-	in := e.cur[base : base+int32(e.curCnt[v])]
+// runNode expands node v's inbox into the worker's scratch and executes
+// its round. The scratch serves the worker's next node before routing, so
+// an outbox that aliases the inbox is copied out first.
+func (e *engine) runNode(v int, scratch []PortMessage) {
+	lo := e.tp.start[v]
+	n := e.boxCnt[v]
+	in := scratch[:n:n]
+	for i, d := range e.box[lo : lo+n] {
+		in[i] = PortMessage{Port: int(d.port), Payload: e.payCur[d.off : d.off+d.n : d.off+d.n]}
+	}
 	out, done := e.nodes[v].Round(in)
+	if aliases(out, in) {
+		out = slices.Clone(out)
+	}
 	e.results[v] = nodeResult{out: out, done: done}
+}
+
+// aliases reports whether out starts inside in, the only way an outbox
+// can share memory with an inbox whose capacity ends at its length.
+func aliases(out, in []PortMessage) bool {
+	if len(out) == 0 {
+		return false
+	}
+	for i := range in {
+		if &in[i] == &out[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // route validates node v's outbox and delivers it into the next-round
@@ -298,9 +335,8 @@ func (e *engine) route(v int, out []PortMessage, stats *Stats) error {
 		off := len(e.payNext)
 		e.payNext = append(e.payNext, m.Payload...)
 		payload := e.payNext[off : off+len(m.Payload) : off+len(m.Payload)]
-		slot := tp.start[d] + e.nextCnt[d]
-		e.next[slot] = PortMessage{Port: int(tp.revPort[ei]), Payload: payload}
-		e.nextCnt[d]++
+		e.box[tp.start[d]+e.boxCnt[d]] = delivery{port: tp.revPort[ei], off: int32(off), n: int32(len(m.Payload))}
+		e.boxCnt[d]++
 		if cfg.Tracer != nil {
 			cfg.Tracer.OnMessage(stats.Rounds, v, int(d), payload)
 		}
@@ -324,36 +360,53 @@ func runFlat(g *graph.Graph, nodes []Node, cfg Config) (Stats, error) {
 		return Stats{}, fmt.Errorf("simnet: %d nodes for %d vertices", len(nodes), k)
 	}
 	tp := topologyFor(g)
+	ctxs := make([]Context, k)
 	root := rng.New(cfg.Seed)
 	for v := 0; v < k; v++ {
-		nodes[v].Init(&Context{
-			ID:       v,
-			Degree:   tp.degree(v),
-			NumNodes: k,
-			RNG:      root.Split(),
-		})
+		ctxs[v] = Context{ID: v, Degree: tp.degree(v), NumNodes: k, RNG: root.Split()}
+		nodes[v].Init(&ctxs[v])
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &engine{
-		tp:         tp,
-		nodes:      nodes,
-		cfg:        cfg,
-		cur:        make([]PortMessage, tp.edges()),
-		next:       make([]PortMessage, tp.edges()),
-		curCnt:     make([]int32, k),
-		nextCnt:    make([]int32, k),
-		results:    make([]nodeResult, k),
-		active:     make([]bool, k),
-		activeList: make([]int32, k),
-		dupBits:    make([]uint64, (tp.maxDeg+64)/64+1),
-		workers:    workers,
-	}
-	for v := 0; v < k; v++ {
-		e.active[v] = true
-		e.activeList[v] = int32(v)
-	}
+	e := tp.acquire()
+	defer tp.release(e)
+	e.nodes, e.cfg, e.workers = nodes, cfg, workers
 	return e.run()
+}
+
+// acquire returns a pooled engine for tp, or a new one, with every node
+// active and empty inboxes. Trial loops run thousands of simulations on one
+// graph; reusing the arenas keeps them from allocating per run.
+func (tp *topology) acquire() *engine {
+	e, _ := tp.engines.Get().(*engine)
+	if e == nil {
+		k := tp.n
+		e = &engine{
+			tp:         tp,
+			box:        make([]delivery, tp.edges()),
+			boxCnt:     make([]int32, k),
+			results:    make([]nodeResult, k),
+			active:     make([]bool, k),
+			activeList: make([]int32, 0, k),
+			dupBits:    make([]uint64, (tp.maxDeg+64)/64+1),
+		}
+	}
+	clear(e.boxCnt)
+	e.payCur = e.payCur[:0]
+	e.activeList = e.activeList[:0]
+	for v := 0; v < tp.n; v++ {
+		e.active[v] = true
+		e.activeList = append(e.activeList, int32(v))
+	}
+	return e
+}
+
+// release drops e's references to the run's nodes, tracer and outboxes and
+// returns it to tp's pool.
+func (tp *topology) release(e *engine) {
+	e.nodes, e.cfg = nil, Config{}
+	clear(e.results)
+	tp.engines.Put(e)
 }

@@ -76,6 +76,27 @@ func (c *chatter) Round(in []PortMessage) ([]PortMessage, bool) {
 	return out, false
 }
 
+// echo announces its ID on every port, then for a few rounds returns its
+// inbox as its outbox, bouncing each message back where it came from: the
+// outbox aliases the inbox, which the flat engine reuses for the next node.
+type echo struct {
+	ctx    *Context
+	rounds int
+}
+
+func (e *echo) Init(ctx *Context) { e.ctx = ctx }
+func (e *echo) Round(in []PortMessage) ([]PortMessage, bool) {
+	e.rounds++
+	if e.rounds == 1 {
+		out := make([]PortMessage, e.ctx.Degree)
+		for p := range out {
+			out[p] = PortMessage{Port: p, Payload: []byte{byte(e.ctx.ID), byte(p)}}
+		}
+		return out, false
+	}
+	return in, e.rounds > 4
+}
+
 // diffTopologies is the topology matrix the differential tests sweep, per
 // the engine's acceptance criteria: line, ring, star, grid, tree, random.
 func diffTopologies() []*graph.Graph {
@@ -128,9 +149,10 @@ func compareRuns(t *testing.T, label string, flat, legacy Stats, flatTr, legacyT
 }
 
 // TestEngineMatchesChannelRef is the differential pin: on every topology in
-// the matrix, with both a deterministic flood and the randomized chatter
-// program, the flat engine must reproduce the legacy channel engine's
-// Stats and complete tracer event sequence.
+// the matrix, with a deterministic flood, the randomized chatter program
+// and the inbox-echoing echo program, at one and several execution workers,
+// the flat engine must reproduce the legacy channel engine's Stats and
+// complete tracer event sequence.
 func TestEngineMatchesChannelRef(t *testing.T) {
 	for _, g := range diffTopologies() {
 		d := 1
@@ -143,13 +165,16 @@ func TestEngineMatchesChannelRef(t *testing.T) {
 		}{
 			{"flood", func() Node { return &floodMax{limit: d + 1} }},
 			{"chatter", func() Node { return &chatter{} }},
+			{"echo", func() Node { return &echo{} }},
 		}
 		for _, prog := range programs {
 			t.Run(g.Name()+"/"+prog.name, func(t *testing.T) {
 				for _, seed := range []uint64{1, 2, 42} {
-					cfg := Config{MaxBytesPerMessage: 16, Seed: seed}
-					flat, legacy, ftr, ltr, ferr, lerr := runEngines(g, prog.mk, cfg)
-					compareRuns(t, fmt.Sprintf("seed=%d", seed), flat, legacy, ftr, ltr, ferr, lerr)
+					for _, workers := range []int{1, 3} {
+						cfg := Config{MaxBytesPerMessage: 16, Seed: seed, Workers: workers}
+						flat, legacy, ftr, ltr, ferr, lerr := runEngines(g, prog.mk, cfg)
+						compareRuns(t, fmt.Sprintf("seed=%d workers=%d", seed, workers), flat, legacy, ftr, ltr, ferr, lerr)
+					}
 				}
 			})
 		}
@@ -258,17 +283,25 @@ func (r *receiver) Round(in []PortMessage) ([]PortMessage, bool) {
 	return nil, len(r.got) > 0
 }
 
-// TestPayloadCopiedOnDeliver pins the copy-on-deliver contract: the
-// receiver must observe the bytes as sent even though the sender mutates
-// its buffer after Round returns.
+// TestPayloadCopiedOnDeliver pins the copy-on-deliver contract on both
+// engines: the receiver must observe the bytes as sent even though the
+// sender mutates its buffer after Round returns. Under RunChannel the
+// sender's scribble runs concurrently with the receiver's read, so an
+// aliased payload is also a data race for -race to report.
 func TestPayloadCopiedOnDeliver(t *testing.T) {
-	g := graph.NewLine(2)
-	rcv := &receiver{}
-	if _, err := Run(g, []Node{&mutator{}, rcv}, Config{Seed: 1}); err != nil {
-		t.Fatal(err)
+	engines := map[string]func(*graph.Graph, []Node, Config) (Stats, error){
+		"Run":        Run,
+		"RunChannel": RunChannel,
 	}
-	if !bytes.Equal(rcv.got, []byte{0xAA, 0xBB}) {
-		t.Fatalf("receiver saw %x, want aabb: sender mutation leaked into the inbox", rcv.got)
+	for name, run := range engines {
+		g := graph.NewLine(2)
+		rcv := &receiver{}
+		if _, err := run(g, []Node{&mutator{}, rcv}, Config{Seed: 1}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(rcv.got, []byte{0xAA, 0xBB}) {
+			t.Fatalf("%s: receiver saw %x, want aabb: sender mutation leaked into the inbox", name, rcv.got)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@
 // round, performs local computation, and emits at most one message per
 // incident edge. Run executes rounds on a flat, deterministic engine (see
 // engine.go): CSR-flattened topology tables compiled once per graph,
-// double-buffered inbox arenas, and a bounded worker pool that executes
+// pooled inbox arenas, and a bounded worker pool that executes
 // node programs in chunks while all routing and tracing stay serial in
 // node-index order — so Stats, tracer event streams and node states are
 // byte-identical at any Config.Workers value. The legacy goroutine-per-node
@@ -20,6 +20,7 @@
 package simnet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -43,7 +44,7 @@ type PortMessage struct {
 	// destination; for incoming, the source.
 	Port int
 	// Payload is the message body; its length is charged against the
-	// bandwidth limit. Run copies payloads on delivery, so a sender may
+	// bandwidth limit. Both engines copy payloads on delivery, so a sender may
 	// reuse its buffer as soon as Round returns and a receiver mutating a
 	// delivered payload cannot corrupt anyone else's inbox; delivered
 	// payloads are only valid for the round they arrive in.
@@ -120,8 +121,8 @@ func Run(g *graph.Graph, nodes []Node, cfg Config) (Stats, error) {
 // its own goroutine and a coordinator exchanges inbox/outbox pairs over
 // channels each round. It is retained as the differential-testing reference
 // for the flat engine and as the BenchmarkRunChannelRef baseline; new code
-// should call Run. Unlike Run, delivered payloads alias the sender's
-// slices, and Config.Workers is ignored.
+// should call Run. It copies delivered payloads exactly as Run does, and
+// ignores Config.Workers.
 func RunChannel(g *graph.Graph, nodes []Node, cfg Config) (Stats, error) {
 	k := g.N()
 	if len(nodes) != k {
@@ -228,9 +229,12 @@ func RunChannel(g *graph.Graph, nodes []Node, cfg Config) (Stats, error) {
 					continue // delivered into the void: dst already halted
 				}
 				dstPort := ports[dst][v]
-				inboxes[dst] = append(inboxes[dst], PortMessage{Port: dstPort, Payload: m.Payload})
+				// Copy-on-deliver, as in Run: the sender may reuse its
+				// buffer next round while the receiver reads this one.
+				payload := bytes.Clone(m.Payload)
+				inboxes[dst] = append(inboxes[dst], PortMessage{Port: dstPort, Payload: payload})
 				if cfg.Tracer != nil {
-					cfg.Tracer.OnMessage(stats.Rounds, v, dst, m.Payload)
+					cfg.Tracer.OnMessage(stats.Rounds, v, dst, payload)
 				}
 				stats.Messages++
 				stats.Bytes += int64(len(m.Payload))
