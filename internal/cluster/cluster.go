@@ -390,7 +390,8 @@ type pipeListener struct {
 }
 
 // NewPipeListener returns an in-memory listener whose Dial returns the
-// client half of a fresh net.Pipe.
+// client half of a fresh net.Pipe. Both halves release their deadline
+// timers on Close (see pipeConn).
 func NewPipeListener() *pipeListener {
 	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
 }
@@ -416,7 +417,7 @@ func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
 
 // Dial creates a pipe and delivers the server half to Accept.
 func (l *pipeListener) Dial() (net.Conn, error) {
-	client, server := net.Pipe()
+	client, server := newPipe()
 	select {
 	case l.conns <- server:
 		return client, nil
@@ -425,6 +426,55 @@ func (l *pipeListener) Dial() (net.Conn, error) {
 		server.Close()
 		return nil, net.ErrClosed
 	}
+}
+
+// pipeConn is one end of a net.Pipe pair that releases its deadline
+// timers on Close. net.Pipe's own Close leaves the timers SetDeadline
+// armed running, and each pending timer keeps its pipe reachable until it
+// fires (Config's 10 s default); SetDeadline on an end whose peer has
+// closed fails without stopping them either. So Close clears both ends'
+// deadlines before closing its own end. The pair shares one mutex that
+// orders every deadline change against Close: the first Close finds both
+// ends open and stops every timer, and a deadline set after it fails on
+// the closed pair without arming one.
+type pipeConn struct {
+	net.Conn
+	peer net.Conn
+	mu   *sync.Mutex
+}
+
+// newPipe returns the two ends of a fresh in-memory pipe.
+func newPipe() (net.Conn, net.Conn) {
+	a, b := net.Pipe()
+	mu := new(sync.Mutex)
+	return &pipeConn{Conn: a, peer: b, mu: mu}, &pipeConn{Conn: b, peer: a, mu: mu}
+}
+
+// Close clears both ends' deadlines, then closes this end.
+func (c *pipeConn) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.Conn.SetDeadline(time.Time{})
+	c.peer.SetDeadline(time.Time{})
+	return c.Conn.Close()
+}
+
+func (c *pipeConn) SetDeadline(t time.Time) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Conn.SetDeadline(t)
+}
+
+func (c *pipeConn) SetReadDeadline(t time.Time) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Conn.SetReadDeadline(t)
+}
+
+func (c *pipeConn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Conn.SetWriteDeadline(t)
 }
 
 type pipeAddr struct{}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"github.com/unifdist/unifdist/internal/dist"
@@ -50,7 +51,12 @@ func (nc *NodeClient) Run(d dist.Distribution) (wire.Verdict, error) {
 		return wire.Verdict{}, fmt.Errorf("cluster: node %d: Sketch mode needs DomainN > 0", nc.ID)
 	}
 
-	sess := cfg.Trace.Start("node.session", trace.Context{}, trace.A("node", nc.ID))
+	// With tracing off the session span and its attributes are never
+	// built (trace.A boxes node IDs ≥ 256).
+	var sess *trace.Span
+	if cfg.Trace.Enabled() {
+		sess = cfg.Trace.Start("node.session", trace.Context{}, trace.A("node", nc.ID))
+	}
 	defer sess.End()
 
 	frames, err := nc.computeFrames(d, sess.Context())
@@ -82,23 +88,41 @@ func (nc *NodeClient) Run(d dist.Distribution) (wire.Verdict, error) {
 	return wire.Verdict{}, fmt.Errorf("cluster: node %d: %w", nc.ID, lastErr)
 }
 
-// outFrame is one precomputed submission frame plus the trace position of
-// the sample computation that produced it (zero when tracing is off).
+// outFrame is one precomputed submission — its vote or sketch as a flat
+// VoteBatch record — plus the trace position of the sample computation
+// that produced it (zero when tracing is off).
 type outFrame struct {
-	frame  wire.Frame
+	vote   wire.BatchVote
 	parent trace.Context
 }
 
-// computeFrames runs the node's tester for every trial and encodes the
-// submission as ready-to-send frames. The sample stream of trial t is
-// fixed by (BaseSeed, t, ID) alone, so the frames are a pure function of
-// the configuration — independent of scheduling, attempts, or the other
+// nodeScratch is a node's working memory for computing its frames: the
+// collision scratch (a domain-sized stamp array once warm) and the sample
+// block. computeFrames borrows one from nodeScratchPool only while it
+// computes, so a session of k nodes keeps about GOMAXPROCS of them warm
+// instead of allocating k.
+type nodeScratch struct {
+	col   dist.CollisionScratch
+	block []int
+	g     rng.RNG
+}
+
+var nodeScratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
+
+// computeFrames runs the node's tester for every trial and records the
+// submission as flat vote records. The sample stream of trial t is fixed
+// by (BaseSeed, t, ID) alone, so the records are a pure function of the
+// configuration — independent of scheduling, attempts, or the other
 // nodes.
 func (nc *NodeClient) computeFrames(d dist.Distribution, sess trace.Context) ([]outFrame, error) {
-	g := rng.New(0)
+	sc := nodeScratchPool.Get().(*nodeScratch)
+	defer nodeScratchPool.Put(sc)
 	s := nc.Tester.SampleSize()
-	block := make([]int, s)
-	var col dist.CollisionScratch
+	if cap(sc.block) < s {
+		sc.block = make([]int, s)
+	}
+	block := sc.block[:s]
+	g := &sc.g
 	st, _ := nc.Tester.(tester.ScratchTester)
 	tr := nc.Config.Trace
 
@@ -115,27 +139,20 @@ func (nc *NodeClient) computeFrames(d dist.Distribution, sess trace.Context) ([]
 		}
 		zeroround.VoteStream(g, nc.Config.BaseSeed, uint64(t), nc.ID, nc.K)
 		dist.SampleInto(d, block, g)
-		var f wire.Frame
+		v := wire.BatchVote{Trial: uint32(t), Node: uint32(nc.ID)}
 		if nc.Config.Sketch {
 			// Raw sketch: the referee derives the single-collision vote as
 			// Collisions > 0, so this mode is only valid for testers where
 			// that derivation IS the test.
-			c := col.CountCollisions(nc.Config.DomainN, block)
-			f = &wire.Sketch{
-				Trial: uint32(t), Node: uint32(nc.ID),
-				Samples: uint32(s), Collisions: uint32(c),
-			}
+			v.Samples = uint32(s)
+			v.Collisions = uint32(sc.col.CountCollisions(nc.Config.DomainN, block))
+		} else if st != nil {
+			v.Reject = !st.TestScratch(block, &sc.col)
 		} else {
-			var accept bool
-			if st != nil {
-				accept = st.TestScratch(block, &col)
-			} else {
-				accept = nc.Tester.Test(block)
-			}
-			f = &wire.Vote{Trial: uint32(t), Node: uint32(nc.ID), Reject: !accept}
+			v.Reject = !nc.Tester.Test(block)
 		}
 		sp.End()
-		frames = append(frames, outFrame{frame: f, parent: sp.Context()})
+		frames = append(frames, outFrame{vote: v, parent: sp.Context()})
 	}
 	return frames, nil
 }
@@ -159,7 +176,19 @@ func (nc *NodeClient) submit(frames []outFrame, attempt int) (wire.Verdict, erro
 	if err := lk.sendControl(hello); err != nil {
 		return wire.Verdict{}, fmt.Errorf("hello: %w", err)
 	}
+	// Each record's Vote or Sketch frame is built at send time, in one
+	// frame value reused across the stream.
+	var vote wire.Vote
+	var sketch wire.Sketch
 	for _, of := range frames {
+		var out wire.Frame
+		if v := of.vote; nc.Config.Sketch {
+			sketch = wire.Sketch{Trial: v.Trial, Node: v.Node, Samples: v.Samples, Collisions: v.Collisions}
+			out = &sketch
+		} else {
+			vote = wire.Vote{Trial: v.Trial, Node: v.Node, Reject: v.Reject}
+			out = &vote
+		}
 		// The send span's ID rides the frame as its wire trace context, so
 		// the referee's apply span can parent on it across the connection.
 		var sp *trace.Span
@@ -169,7 +198,7 @@ func (nc *NodeClient) submit(frames []outFrame, attempt int) (wire.Verdict, erro
 			ctx := sp.Context()
 			tc = wire.TraceContext{Trace: uint64(ctx.Trace), Span: uint64(ctx.Span)}
 		}
-		err := lk.sendVote(of.frame, tc)
+		err := lk.sendVote(out, tc)
 		sp.End()
 		if err != nil {
 			return wire.Verdict{}, fmt.Errorf("vote: %w", err)
@@ -189,20 +218,6 @@ func (nc *NodeClient) submit(frames []outFrame, attempt int) (wire.Verdict, erro
 		return wire.Verdict{}, fmt.Errorf("verdict: unexpected frame type %d", f.Type())
 	}
 	return *v, nil
-}
-
-// batchVote flattens one precomputed submission frame into its VoteBatch
-// entry. The frames were computed by computeFrames, so only Vote and
-// Sketch frames reach here.
-func batchVote(f wire.Frame) wire.BatchVote {
-	switch fr := f.(type) {
-	case *wire.Vote:
-		return wire.BatchVote{Trial: fr.Trial, Node: fr.Node, Reject: fr.Reject}
-	case *wire.Sketch:
-		return wire.BatchVote{Trial: fr.Trial, Node: fr.Node, Samples: fr.Samples, Collisions: fr.Collisions}
-	default:
-		panic(fmt.Sprintf("cluster: frame type %d is not a vote", f.Type()))
-	}
 }
 
 // submitBatched is the high-throughput variant of submit: votes coalesce
@@ -261,14 +276,14 @@ func (nc *NodeClient) submitBatched(frames []outFrame, attempt int) (wire.Verdic
 			dropped.Inc()
 			continue
 		case faultDup:
-			if err := bt.add(batchVote(of.frame)); err != nil {
+			if err := bt.add(of.vote); err != nil {
 				return wire.Verdict{}, fmt.Errorf("vote: %w", err)
 			}
-			if err := bt.add(batchVote(of.frame)); err != nil {
+			if err := bt.add(of.vote); err != nil {
 				return wire.Verdict{}, fmt.Errorf("vote: %w", err)
 			}
 		default:
-			if err := bt.add(batchVote(of.frame)); err != nil {
+			if err := bt.add(of.vote); err != nil {
 				return wire.Verdict{}, fmt.Errorf("vote: %w", err)
 			}
 		}

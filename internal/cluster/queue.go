@@ -51,12 +51,14 @@ type queueItem struct {
 // prefix ("agg.tier1", ...) so each tier's depth is a separate gauge.
 func newSendQueue(w io.Writer, depth int, policy QueuePolicy, reg *obs.Registry, prefix string) *sendQueue {
 	q := &sendQueue{
-		items:   make(chan queueItem, depth),
-		free:    make(chan []byte, depth+1),
-		policy:  policy,
-		depth:   reg.Gauge(prefix + ".queue_depth"),
-		dropped: reg.Counter(prefix + ".queue_dropped"),
-		done:    make(chan struct{}),
+		items:  make(chan queueItem, depth),
+		free:   make(chan []byte, depth+1),
+		policy: policy,
+		done:   make(chan struct{}),
+	}
+	if reg != nil {
+		q.depth = reg.Gauge(prefix + ".queue_depth")
+		q.dropped = reg.Counter(prefix + ".queue_dropped")
 	}
 	go func() {
 		defer close(q.done)
@@ -180,6 +182,9 @@ func newBatcher(q *sendQueue, cfg Config, sess trace.Context, sent *obs.Counter)
 		sent:     sent,
 	}
 	b.batch.Sketch = cfg.Sketch
+	// A node sends Trials votes (more only under duplication faults), so
+	// a fault-free batch never regrows.
+	b.batch.Votes = make([]wire.BatchVote, 0, min(b.maxVotes, cfg.Trials))
 	return b
 }
 

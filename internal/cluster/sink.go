@@ -107,6 +107,11 @@ func (s *voteSink) init(k, lo, hi int, cfg Config, prefix, spanNS string) {
 	s.direct = make([]bool, span)
 	s.nodeDone = make([]bool, span)
 	s.trigger = make(chan struct{})
+	if s.reg == nil {
+		// Telemetry off: every metric is a nil no-op and no name is built.
+		s.m = sinkMetrics{}
+		return
+	}
 	s.m = sinkMetrics{
 		votes:       s.reg.Counter(s.metricName("votes")),
 		votesDup:    s.reg.Counter(s.metricName("votes_dup")),
@@ -149,7 +154,9 @@ func (s *voteSink) acceptLoop(l net.Listener, deadline time.Duration, wg *sync.W
 		s.stats.Connections++
 		wg.Add(1)
 		s.mu.Unlock()
-		s.reg.Counter(s.metricName("connections")).Inc()
+		if s.reg != nil {
+			s.reg.Counter(s.metricName("connections")).Inc()
+		}
 		go func() {
 			defer wg.Done()
 			// Absolute per-connection read bound: a stalled peer cannot
@@ -170,14 +177,17 @@ func (s *voteSink) acceptLoop(l net.Listener, deadline time.Duration, wg *sync.W
 func (s *voteSink) handle(conn net.Conn, end time.Time) {
 	conn.SetReadDeadline(end)
 	r := wire.NewReader(conn)
-	frameBytes := s.reg.Histogram(s.metricName("frame_bytes"), obs.BytesBuckets())
-	s.reg.Gauge(s.metricName("peers_connected")).Add(1)
-	defer s.reg.Gauge(s.metricName("peers_connected")).Add(-1)
-	// Per-frame-type decode and apply latency histograms, resolved once per
-	// connection; nil (and never timed) when telemetry is off, so the hot
-	// path pays no clock reads by default.
+	// The connection's metrics, and the per-frame-type decode and apply
+	// latency histograms, are resolved once per connection. With telemetry
+	// off they stay nil (never timed, no metric names built), so the hot
+	// path pays no clock reads or string building by default.
+	var frameBytes *obs.Histogram
 	var decodeNS, applyNS [wire.TypePartialVerdict + 1]*obs.Histogram
 	if s.reg != nil {
+		frameBytes = s.reg.Histogram(s.metricName("frame_bytes"), obs.BytesBuckets())
+		connected := s.reg.Gauge(s.metricName("peers_connected"))
+		connected.Add(1)
+		defer connected.Add(-1)
 		for t := wire.TypeHello; t <= wire.TypePartialVerdict; t++ {
 			name := wire.TypeName(t)
 			decodeNS[t] = s.reg.Histogram(s.metricName("decode_ns."+name), obs.LatencyBuckets())

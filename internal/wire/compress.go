@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // MinCompressibleSize is the smallest raw batch payload the encoder
@@ -113,6 +114,24 @@ func appendSequence(dst, literals []byte, offset, matchLen int) []byte {
 	return dst
 }
 
+// zTable is the encoder's match table, reused across calls through
+// zTables so a call neither zeroes nor allocates 32 KiB. Slots hold
+// base+pos+1 for a position pos stored by the call that ran at base: a
+// slot is live for the current call iff it exceeds the call's base, so
+// every slot an earlier call wrote reads as empty without being cleared.
+// Each call advances base by its input length; the table is cleared and
+// base restarts at 0 before it could reach 2^30, far from int32 overflow.
+type zTable struct {
+	slots [1 << zHashBits]int32
+	base  int32
+}
+
+// zResetBase is the base at which a reused table is cleared instead of
+// advanced.
+const zResetBase = 1 << 30
+
+var zTables = sync.Pool{New: func() any { return new(zTable) }}
+
 // CompressBlock appends a compressed copy of src to dst and returns the
 // extended slice, or nil when the compressed form would not be strictly
 // smaller than src (the caller then sends the block raw). Deterministic:
@@ -121,9 +140,21 @@ func CompressBlock(src, dst []byte) []byte {
 	if len(src) < zMinMatch*2 {
 		return nil
 	}
-	base := len(dst)
-	// Positions are stored +1 so the zero value means "empty slot".
-	var table [1 << zHashBits]int32
+	t := zTables.Get().(*zTable)
+	defer zTables.Put(t)
+	return t.compress(src, dst)
+}
+
+// compress is CompressBlock's greedy parse on the reusable table t.
+func (t *zTable) compress(src, dst []byte) []byte {
+	if int64(t.base)+int64(len(src)) >= zResetBase {
+		clear(t.slots[:])
+		t.base = 0
+	}
+	base := t.base
+	t.base += int32(len(src))
+	table := &t.slots
+	start := len(dst)
 	// Stop matching zMinMatch before the end so the 4-byte loads below
 	// stay in bounds.
 	limit := len(src) - zMinMatch
@@ -131,8 +162,11 @@ func CompressBlock(src, dst []byte) []byte {
 	for i <= limit {
 		v := binary.LittleEndian.Uint32(src[i:])
 		h := zHash(v)
-		cand := int(table[h]) - 1
-		table[h] = int32(i + 1)
+		cand := -1
+		if slot := table[h]; slot > base {
+			cand = int(slot-base) - 1
+		}
+		table[h] = base + int32(i+1)
 		if cand < 0 || i-cand > zMaxOffset || binary.LittleEndian.Uint32(src[cand:]) != v {
 			i++
 			continue
@@ -144,12 +178,12 @@ func CompressBlock(src, dst []byte) []byte {
 		dst = appendSequence(dst, src[anchor:i], i-cand, ml)
 		i += ml
 		anchor = i
-		if len(dst)-base >= len(src) {
+		if len(dst)-start >= len(src) {
 			return nil
 		}
 	}
 	dst = appendSequence(dst, src[anchor:], 0, 0)
-	if len(dst)-base >= len(src) {
+	if len(dst)-start >= len(src) {
 		return nil
 	}
 	return dst

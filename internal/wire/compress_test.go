@@ -2,10 +2,102 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"slices"
 	"testing"
 )
+
+// compressBlockRef is the stack-table compressor CompressBlock replaced,
+// kept as the oracle for the pooled, generation-offset table: it zeroes a
+// fresh table per call, so its output is trivially a function of src
+// alone. CompressBlock must match it byte for byte.
+func compressBlockRef(src, dst []byte) []byte {
+	if len(src) < zMinMatch*2 {
+		return nil
+	}
+	base := len(dst)
+	// Positions are stored +1 so the zero value means "empty slot".
+	var table [1 << zHashBits]int32
+	limit := len(src) - zMinMatch
+	anchor, i := 0, 0
+	for i <= limit {
+		v := binary.LittleEndian.Uint32(src[i:])
+		h := zHash(v)
+		cand := int(table[h]) - 1
+		table[h] = int32(i + 1)
+		if cand < 0 || i-cand > zMaxOffset || binary.LittleEndian.Uint32(src[cand:]) != v {
+			i++
+			continue
+		}
+		ml := zMinMatch
+		for i+ml < len(src) && src[cand+ml] == src[i+ml] {
+			ml++
+		}
+		dst = appendSequence(dst, src[anchor:i], i-cand, ml)
+		i += ml
+		anchor = i
+		if len(dst)-base >= len(src) {
+			return nil
+		}
+	}
+	dst = appendSequence(dst, src[anchor:], 0, 0)
+	if len(dst)-base >= len(src) {
+		return nil
+	}
+	return dst
+}
+
+// TestCompressMatchesRef runs a mixed sequence of blocks through one
+// reused table — the pooled path's situation, with stale slots from every
+// earlier block — and through a table parked just below the reset base, so
+// the sequence crosses a forced generation reset. Every block must encode
+// exactly as the fresh-table reference does.
+func TestCompressMatchesRef(t *testing.T) {
+	lcg := uint32(99)
+	var blocks [][]byte
+	for n := 0; n < 64; n++ {
+		size := 8 + n*37%700
+		b := make([]byte, size)
+		for i := range b {
+			lcg = lcg*1664525 + 1013904223
+			// A small alphabet makes matches (and stale-slot hits) common.
+			b[i] = byte(lcg>>24) % byte(2+n%9)
+		}
+		blocks = append(blocks, b)
+	}
+	blocks = append(blocks, goldenBatchPayload(), bytes.Repeat([]byte("abcdefg-"), 64))
+	// Each block twice in a row: the second pass finds the table full of
+	// its own hashes from one generation back, as successive batches of a
+	// node do.
+	for i := len(blocks) - 1; i >= 0; i-- {
+		blocks = slices.Insert(blocks, i, blocks[i])
+	}
+
+	for _, start := range []int32{0, zResetBase - 2000} {
+		tab := &zTable{base: start}
+		resets := 0
+		for i, b := range blocks {
+			before := tab.base
+			got := tab.compress(b, []byte("dst"))
+			if tab.base < before {
+				resets++
+			}
+			want := compressBlockRef(b, []byte("dst"))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("base %d, block %d (%d bytes): pooled table diverges from reference:\n got %x\nwant %x",
+					start, i, len(b), got, want)
+			}
+			if !bytes.Equal(CompressBlock(b, nil), compressBlockRef(b, nil)) {
+				t.Fatalf("block %d: CompressBlock diverges from reference", i)
+			}
+		}
+		if start != 0 && resets == 0 {
+			t.Fatalf("table parked at base %d never reset", start)
+		}
+	}
+}
 
 // goldenBatchPayload is a realistic batch payload: one node's 96 votes in
 // trial order.
@@ -28,6 +120,9 @@ func TestCompressGolden(t *testing.T) {
 	got := CompressBlock(src, nil)
 	if hex.EncodeToString(got) != golden {
 		t.Fatalf("compressed bytes drifted:\n got %s\nwant %s", hex.EncodeToString(got), golden)
+	}
+	if ref := compressBlockRef(src, nil); !bytes.Equal(got, ref) {
+		t.Fatalf("golden block differs from the reference compressor: %x", ref)
 	}
 	// And it round-trips.
 	out, err := DecompressBlock(got, nil, len(src))

@@ -363,10 +363,12 @@ func FuzzPartialVerdictRoundTrip(f *testing.F) {
 }
 
 // FuzzCompressRoundTrip pins the compressor's contract on arbitrary
-// blocks: compression is deterministic, only reported when it strictly
-// shrinks the input (incompressible and sub-threshold blocks return nil),
-// and always inverts exactly; the decompressor never panics and never
-// exceeds its output cap on arbitrary input.
+// blocks: the pooled encoder matches the fresh-table reference
+// (compressBlockRef) byte for byte, compression is deterministic, only
+// reported when it strictly shrinks the input (incompressible and
+// sub-threshold blocks return nil), and always inverts exactly; the
+// decompressor never panics and never exceeds its output cap on arbitrary
+// input.
 func FuzzCompressRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
@@ -378,6 +380,9 @@ func FuzzCompressRoundTrip(f *testing.F) {
 			data = data[:4*MaxBatchFrameBytes]
 		}
 		comp := CompressBlock(data, nil)
+		if ref := compressBlockRef(data, nil); !bytes.Equal(comp, ref) {
+			t.Fatalf("pooled compressor diverges from reference:\n got %x\nwant %x", comp, ref)
+		}
 		if comp != nil {
 			if len(comp) >= len(data) {
 				t.Fatalf("compressed %d ≥ raw %d", len(comp), len(data))
