@@ -1,7 +1,7 @@
 // Command unifcluster runs one 0-round uniformity-testing session as a
 // real cluster: a referee service plus k in-process node clients speaking
-// the length-prefixed wire protocol over net.Pipe or TCP loopback, with
-// optional seeded transport faults.
+// the length-prefixed wire protocol over in-memory pipes or TCP
+// loopback, with optional seeded transport faults.
 //
 // Usage:
 //

@@ -222,9 +222,11 @@ func TestTreeDeterministicAcrossRuns(t *testing.T) {
 // on one connection; then each closer stream on a fresh connection of
 // its own. A host terminates a connection on a protocol violation, which
 // closes the pipe under the writer: the rest of that stream is dropped,
-// as a real peer's would be. Streams are written one after another, and
-// a pipe write returns only once the host read it. It returns serve's
-// result.
+// as a real peer's would be. Pipe writes return once buffered, so before
+// dialing the closers it waits for the host to drop the first
+// connection: the closers complete the window, and the session could
+// otherwise finish before the host read the violation. It returns
+// serve's result.
 func fakePeerSession(t *testing.T, serve func(net.Listener) (*Report, error), hello wire.Frame, frames []wire.Frame, closers ...[]wire.Frame) (*Report, error) {
 	t.Helper()
 	l := NewPipeListener()
@@ -235,19 +237,27 @@ func fakePeerSession(t *testing.T, serve func(net.Listener) (*Report, error), he
 		defer close(done)
 		rep, err = serve(l)
 	}()
-	for _, stream := range append([][]wire.Frame{append([]wire.Frame{hello}, frames...)}, closers...) {
+	for i, stream := range append([][]wire.Frame{append([]wire.Frame{hello}, frames...)}, closers...) {
 		conn, derr := l.Dial()
 		if derr != nil {
 			t.Fatal(derr)
 		}
 		defer conn.Close()
 		// Drain the verdict broadcast so the host's bounded best-effort
-		// write never has to wait out its deadline on a synchronous pipe.
-		go io.Copy(io.Discard, conn)
+		// write never has to wait out its deadline. The drain ends when
+		// the host closes the connection.
+		dropped := make(chan struct{})
+		go func() {
+			defer close(dropped)
+			io.Copy(io.Discard, conn)
+		}()
 		for _, f := range stream {
 			if wire.WriteFrame(conn, f) != nil {
 				break
 			}
+		}
+		if i == 0 && len(closers) > 0 {
+			<-dropped
 		}
 	}
 	<-done

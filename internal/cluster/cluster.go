@@ -20,8 +20,8 @@
 // network error stays within the paper's 1/3 under bounded vote loss.
 //
 // Topology: Referee serves any net.Listener (TCP for real deployments);
-// NewPipeListener provides a zero-copy in-memory transport (net.Pipe) for
-// single-process clusters and tests. RunPipe/RunTCP assemble the full
+// NewPipeListener provides a buffered in-memory transport (see pipe.go)
+// for single-process clusters and tests. RunPipe/RunTCP assemble the full
 // referee-plus-k-nodes session either way.
 package cluster
 
@@ -312,7 +312,7 @@ type RefereeStats struct {
 	DeadlineExpired bool `json:"deadline_expired,omitempty"`
 }
 
-// RunPipe executes one full session in-process over net.Pipe transports:
+// RunPipe executes one full session in-process over in-memory pipes:
 // a referee for nw's rule plus one node client per network node, faults
 // injected per plan (nil plan = clean links). It returns the referee's
 // report; node-side errors fail the run only when the referee did not
@@ -379,105 +379,3 @@ func runSession(cfg Config, nw *zeroround.Network, d dist.Distribution, plan *Fa
 	}
 	return rep, nil
 }
-
-// pipeListener hands out net.Pipe pairs through the net.Listener
-// interface, so the referee serves in-memory transports exactly as it
-// serves TCP.
-type pipeListener struct {
-	conns chan net.Conn
-	done  chan struct{}
-	once  sync.Once
-}
-
-// NewPipeListener returns an in-memory listener whose Dial returns the
-// client half of a fresh net.Pipe. Both halves release their deadline
-// timers on Close (see pipeConn).
-func NewPipeListener() *pipeListener {
-	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
-}
-
-// Accept returns the server half of the next dialed pipe.
-func (l *pipeListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.conns:
-		return c, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-
-// Close stops the listener; pending and future Dials fail.
-func (l *pipeListener) Close() error {
-	l.once.Do(func() { close(l.done) })
-	return nil
-}
-
-// Addr implements net.Listener.
-func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
-
-// Dial creates a pipe and delivers the server half to Accept.
-func (l *pipeListener) Dial() (net.Conn, error) {
-	client, server := newPipe()
-	select {
-	case l.conns <- server:
-		return client, nil
-	case <-l.done:
-		client.Close()
-		server.Close()
-		return nil, net.ErrClosed
-	}
-}
-
-// pipeConn is one end of a net.Pipe pair that releases its deadline
-// timers on Close. net.Pipe's own Close leaves the timers SetDeadline
-// armed running, and each pending timer keeps its pipe reachable until it
-// fires (Config's 10 s default); SetDeadline on an end whose peer has
-// closed fails without stopping them either. So Close clears both ends'
-// deadlines before closing its own end. The pair shares one mutex that
-// orders every deadline change against Close: the first Close finds both
-// ends open and stops every timer, and a deadline set after it fails on
-// the closed pair without arming one.
-type pipeConn struct {
-	net.Conn
-	peer net.Conn
-	mu   *sync.Mutex
-}
-
-// newPipe returns the two ends of a fresh in-memory pipe.
-func newPipe() (net.Conn, net.Conn) {
-	a, b := net.Pipe()
-	mu := new(sync.Mutex)
-	return &pipeConn{Conn: a, peer: b, mu: mu}, &pipeConn{Conn: b, peer: a, mu: mu}
-}
-
-// Close clears both ends' deadlines, then closes this end.
-func (c *pipeConn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.Conn.SetDeadline(time.Time{})
-	c.peer.SetDeadline(time.Time{})
-	return c.Conn.Close()
-}
-
-func (c *pipeConn) SetDeadline(t time.Time) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.Conn.SetDeadline(t)
-}
-
-func (c *pipeConn) SetReadDeadline(t time.Time) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.Conn.SetReadDeadline(t)
-}
-
-func (c *pipeConn) SetWriteDeadline(t time.Time) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.Conn.SetWriteDeadline(t)
-}
-
-type pipeAddr struct{}
-
-func (pipeAddr) Network() string { return "pipe" }
-func (pipeAddr) String() string  { return "pipe" }

@@ -7,11 +7,13 @@ import (
 	"runtime"
 	"runtime/metrics"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/unifdist/unifdist/internal/dist"
 	"github.com/unifdist/unifdist/internal/obs/trace"
+	"github.com/unifdist/unifdist/internal/rng"
 )
 
 // liveHeapBytes forces a full collection and returns the live heap it
@@ -178,5 +180,63 @@ func TestComputeFramesAllocsFlatInTrials(t *testing.T) {
 					sketch, trials, allocs)
 			}
 		}
+	}
+}
+
+// gateDist is a distribution whose draws park until release is closed,
+// counting the draws parked at once.
+type gateDist struct {
+	dist.Distribution
+	release chan struct{}
+	parked  atomic.Int32
+}
+
+func (g *gateDist) Sample(r *rng.RNG) int {
+	select {
+	case <-g.release:
+	default:
+		g.parked.Add(1)
+		<-g.release
+	}
+	return g.Distribution.Sample(r)
+}
+
+// TestComputeFramesConcurrencyBounded parks every node in its first draw
+// and checks that only nodeComputeSlots nodes get that far: the others
+// wait for a slot instead of borrowing (and, with the pool empty,
+// allocating) collision scratch of their own.
+func TestComputeFramesConcurrencyBounded(t *testing.T) {
+	const n, k = 64, 64
+	slots := cap(nodeComputeSlots)
+	if slots >= k {
+		t.Skipf("%d compute slots leave no node waiting among %d", slots, k)
+	}
+	nw := thresholdNetwork(t, n, k)
+	gate := &gateDist{Distribution: dist.NewUniform(n), release: make(chan struct{})}
+	var wg sync.WaitGroup
+	wg.Add(k)
+	for i := 0; i < k; i++ {
+		go func(i int) {
+			defer wg.Done()
+			nc := &NodeClient{ID: i, K: k, Tester: nw.Node(i), Config: Config{Trials: 2, BaseSeed: 1}}
+			if _, err := nc.computeFrames(gate, trace.Context{}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	for end := time.Now().Add(10 * time.Second); gate.parked.Load() < int32(slots); time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			close(gate.release)
+			t.Fatalf("only %d of %d slots in use after 10 s", gate.parked.Load(), slots)
+		}
+	}
+	// The slots are full; give the other nodes time to get past the bound
+	// if it did not hold.
+	time.Sleep(50 * time.Millisecond)
+	got := gate.parked.Load()
+	close(gate.release)
+	wg.Wait()
+	if got != int32(slots) {
+		t.Fatalf("%d nodes computing at once, want at most %d", got, slots)
 	}
 }

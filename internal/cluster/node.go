@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -99,8 +100,9 @@ type outFrame struct {
 // nodeScratch is a node's working memory for computing its frames: the
 // collision scratch (a domain-sized stamp array once warm) and the sample
 // block. computeFrames borrows one from nodeScratchPool only while it
-// computes, so a session of k nodes keeps about GOMAXPROCS of them warm
-// instead of allocating k.
+// computes, and at most nodeComputeSlots nodes compute at once, so a
+// session of k nodes keeps about GOMAXPROCS of them warm instead of
+// allocating k.
 type nodeScratch struct {
 	col   dist.CollisionScratch
 	block []int
@@ -109,12 +111,22 @@ type nodeScratch struct {
 
 var nodeScratchPool = sync.Pool{New: func() any { return new(nodeScratch) }}
 
+// nodeComputeSlots bounds the nodes computing frames at once to the CPUs
+// that can run them. The pool alone does not: a borrower that parks
+// mid-computation — in a GC assist, typically, paying for its first
+// stamp array — leaves the pool empty, so the next runnable node
+// allocates a scratch of its own and parks in turn. At k = 2000 that
+// cascade held 50–500 MB of stamp arrays at once.
+var nodeComputeSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
+
 // computeFrames runs the node's tester for every trial and records the
 // submission as flat vote records. The sample stream of trial t is fixed
 // by (BaseSeed, t, ID) alone, so the records are a pure function of the
 // configuration — independent of scheduling, attempts, or the other
 // nodes.
 func (nc *NodeClient) computeFrames(d dist.Distribution, sess trace.Context) ([]outFrame, error) {
+	nodeComputeSlots <- struct{}{}
+	defer func() { <-nodeComputeSlots }()
 	sc := nodeScratchPool.Get().(*nodeScratch)
 	defer nodeScratchPool.Put(sc)
 	s := nc.Tester.SampleSize()

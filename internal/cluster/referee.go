@@ -101,7 +101,8 @@ func (rf *Referee) Serve(l net.Listener) (*Report, error) {
 	sess.End()
 	for _, c := range conns {
 		// Bounded best-effort verdict delivery: a node that already went
-		// away must not stall shutdown (net.Pipe writes block until read).
+		// away must not stall shutdown (a write blocks once the peer's
+		// receive buffer is full).
 		c.SetWriteDeadline(time.Now().Add(time.Second)) //unifvet:allow wallclock bounded best-effort verdict broadcast on shutdown
 		_ = wire.WriteFrame(c, &sum)
 		c.Close()

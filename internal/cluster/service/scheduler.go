@@ -137,22 +137,8 @@ func (s *scheduler) worker() {
 			s.mu.Unlock()
 			return
 		}
-		sess := s.ring[0]
-		s.ring = s.ring[:copy(s.ring, s.ring[1:])]
-		q := &sess.q
-		q.state = qDraining
-		n := len(q.items)
-		if n > s.quantum {
-			n = s.quantum
-		}
-		batch = append(batch[:0], q.items[:n]...)
-		rest := copy(q.items, q.items[n:])
-		for i := rest; i < len(q.items); i++ {
-			q.items[i] = frameItem{} // release body references to the free list's benefit
-		}
-		q.items = q.items[:rest]
-		q.depth.Set(float64(rest))
-		s.room.Broadcast()
+		var sess *session
+		sess, batch = s.takeLocked(batch[:0])
 		s.mu.Unlock()
 
 		for i := range batch {
@@ -160,23 +146,54 @@ func (s *scheduler) worker() {
 		}
 
 		s.mu.Lock()
-		for i := range batch {
-			if len(q.free) < s.depthCap {
-				q.free = append(q.free, batch[i].body[:0])
-			}
-			batch[i] = frameItem{}
-		}
-		if q.dead {
-			q.items = nil
-			q.state = qIdle
-		} else if len(q.items) > 0 {
-			q.state = qRinged
-			s.ring = append(s.ring, sess)
-			s.work.Signal()
-		} else {
-			q.state = qIdle
-		}
+		s.releaseLocked(sess, batch)
 		s.mu.Unlock()
+	}
+}
+
+// takeLocked is one turn's first half: it pops the session at the front
+// of the (non-empty) ring, hands it to the caller in state qDraining, and
+// moves at most one quantum of its frames, oldest first, into batch.
+// s.mu is held.
+func (s *scheduler) takeLocked(batch []frameItem) (*session, []frameItem) {
+	sess := s.ring[0]
+	s.ring = s.ring[:copy(s.ring, s.ring[1:])]
+	q := &sess.q
+	q.state = qDraining
+	n := min(len(q.items), s.quantum)
+	batch = append(batch, q.items[:n]...)
+	rest := copy(q.items, q.items[n:])
+	for i := rest; i < len(q.items); i++ {
+		q.items[i] = frameItem{} // release body references to the free list's benefit
+	}
+	q.items = q.items[:rest]
+	q.depth.Set(float64(rest))
+	s.room.Broadcast()
+	return sess, batch
+}
+
+// releaseLocked is the turn's second half, once batch is folded: it
+// recycles the frame bodies and, if sess still has frames queued, puts
+// it back at the end of the ring, behind every session already waiting.
+// s.mu is held.
+func (s *scheduler) releaseLocked(sess *session, batch []frameItem) {
+	q := &sess.q
+	for i := range batch {
+		if len(q.free) < s.depthCap {
+			q.free = append(q.free, batch[i].body[:0])
+		}
+		batch[i] = frameItem{}
+	}
+	switch {
+	case q.dead:
+		q.items = nil
+		q.state = qIdle
+	case len(q.items) > 0:
+		q.state = qRinged
+		s.ring = append(s.ring, sess)
+		s.work.Signal()
+	default:
+		q.state = qIdle
 	}
 }
 

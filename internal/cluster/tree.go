@@ -10,10 +10,10 @@ import (
 )
 
 // RunTreePipe executes one full session as a hierarchical aggregation
-// tree over in-process net.Pipe transports: a root referee, depth tiers
-// of aggregators splitting the node-ID space into contiguous windows of
-// at most fanout children per parent, and one node client per network
-// node dialing its bottom-tier aggregator. Faults are injected per plan
+// tree over in-memory pipes: a root referee, depth tiers of aggregators
+// splitting the node-ID space into contiguous windows of at most fanout
+// children per parent, and one node client per network node dialing its
+// bottom-tier aggregator. Faults are injected per plan
 // on the leaf links (nil plan = clean links) — fault streams are keyed
 // by (node, attempt) only, independent of the dial target, so a tree run
 // loses exactly the votes the flat star would.
