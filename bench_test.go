@@ -162,6 +162,25 @@ func BenchmarkSampleIntoHistogram(b *testing.B) {
 	benchSampleInto(b, unifdist.NewZipf(1<<20, 1.1))
 }
 
+// BenchmarkSampleIntoBlock51 draws one cluster-node sample block per op:
+// 51 samples at n=2^16, the block a threshold node draws per trial at
+// k=2000 — short enough that per-call set-up shows next to the per-draw
+// cost.
+func BenchmarkSampleIntoBlock51(b *testing.B) {
+	const n = 1 << 16
+	for _, d := range []unifdist.Distribution{unifdist.NewUniform(n), unifdist.NewTwoBump(n, 1, 7)} {
+		b.Run(d.Name(), func(b *testing.B) {
+			buf := make([]int, 51)
+			r := unifdist.NewRNG(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				unifdist.SampleInto(d, buf, r)
+			}
+		})
+	}
+}
+
 func BenchmarkHasCollisionScratch(b *testing.B) {
 	const n = 1 << 16
 	samples := make([]int, 256)

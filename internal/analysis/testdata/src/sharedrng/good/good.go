@@ -76,3 +76,17 @@ func ChunkedPool(base uint64, trials int) uint64 {
 	}
 	return total
 }
+
+// StepperInside loads a register copy of a generator the goroutine derived
+// itself, and stores it back before the goroutine ends.
+func StepperInside(base uint64) uint64 {
+	out := make(chan uint64, 1)
+	go func() {
+		g := rng.At(base, 0)
+		st := g.Load()
+		v := st.Uint64()
+		g.Store(st)
+		out <- v
+	}()
+	return <-out
+}

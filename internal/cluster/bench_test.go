@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/unifdist/unifdist/internal/dist"
 	"github.com/unifdist/unifdist/internal/wire"
+	"github.com/unifdist/unifdist/internal/zeroround"
 )
 
 // benchRule accepts on a reject threshold and deliberately implements no
@@ -349,4 +351,44 @@ func BenchmarkRefereeTCP(b *testing.B) {
 			benchSession(b, k, c.trials, payloads, tcp, 256)
 		})
 	}
+}
+
+// BenchmarkNodeClientSend measures the node side that the referee
+// benchmarks skip: one NodeClient computing its votes (sampling and the
+// collision test), batching and compressing them, and writing them through
+// sendQueue to a referee on NewPipeListener, then reading its verdict. The
+// node has the cluster workload's shape — a threshold node at n=2^16 and
+// k=2000 (51 samples per trial), 64 trials, batch 128 with compression —
+// in a one-node session, so the referee's share stays small.
+func BenchmarkNodeClientSend(b *testing.B) {
+	const n, trials = 1 << 16, 64
+	tc, err := zeroround.SolveThreshold(n, 2000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nw, err := zeroround.BuildThreshold(tc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := dist.NewTwoBump(n, 1, 7)
+	cfg := Config{Trials: trials, BaseSeed: 1, Batch: 128, Compress: true, Deadline: time.Minute}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := NewPipeListener()
+		rf := NewReferee(1, benchRule{thr: 1}, cfg)
+		served := make(chan error, 1)
+		go func() {
+			_, err := rf.Serve(l)
+			served <- err
+		}()
+		nc := &NodeClient{ID: 0, K: 1, Tester: nw.Node(0), Config: cfg, Dial: l.Dial}
+		if _, err := nc.Run(d); err != nil {
+			b.Fatal(err)
+		}
+		if err := <-served; err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trials), "ns/vote")
 }

@@ -77,7 +77,7 @@ func (u Uniform) Name() string { return fmt.Sprintf("uniform(n=%d)", u.n) }
 type TwoBump struct {
 	n    int
 	eps  float64
-	sign []bool // sign[j] == true means pair j's first element gets +ε/n
+	sign []uint8 // sign[j] == 1 means pair j's first element gets +ε/n
 }
 
 // NewTwoBump returns a two-bump distribution on an even domain of size n
@@ -91,9 +91,9 @@ func NewTwoBump(n int, eps float64, seed uint64) *TwoBump {
 		panic("dist: NewTwoBump requires eps in (0, 1]")
 	}
 	r := rng.New(seed)
-	sign := make([]bool, n/2)
+	sign := make([]uint8, n/2)
 	for j := range sign {
-		sign[j] = r.Bool()
+		sign[j] = uint8(r.Uint64() & 1) // the draw of r.Bool()
 	}
 	return &TwoBump{n: n, eps: eps, sign: sign}
 }
@@ -107,7 +107,7 @@ func (t *TwoBump) Epsilon() float64 { return t.eps }
 // Prob returns (1±ε)/n depending on the pair's sign.
 func (t *TwoBump) Prob(i int) float64 {
 	checkIndex(i, t.n)
-	up := t.sign[i/2] == (i%2 == 0)
+	up := (t.sign[i/2] == 1) == (i%2 == 0)
 	if up {
 		return (1 + t.eps) / float64(t.n)
 	}
@@ -118,7 +118,7 @@ func (t *TwoBump) Prob(i int) float64 {
 // the pair with probability (1+ε)/2.
 func (t *TwoBump) Sample(r *rng.RNG) int {
 	pair := r.Intn(t.n / 2)
-	heavyFirst := t.sign[pair]
+	heavyFirst := t.sign[pair] == 1
 	pickHeavy := r.Float64() < (1+t.eps)/2
 	if pickHeavy == heavyFirst {
 		return 2 * pair

@@ -9,10 +9,8 @@ package graph
 
 import (
 	"fmt"
-	"runtime"
-	"slices"
+	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/unifdist/unifdist/internal/rng"
@@ -22,6 +20,8 @@ import (
 type Graph struct {
 	name string
 	adj  [][]int
+	// ports caches Ports until the next AddEdge.
+	ports atomic.Pointer[Ports]
 }
 
 // New returns an empty graph with n vertices and no edges.
@@ -53,6 +53,7 @@ func (g *Graph) AddEdge(u, v int) error {
 	}
 	g.adj[u] = append(g.adj[u], v)
 	g.adj[v] = append(g.adj[v], u)
+	g.ports.Store(nil)
 	return nil
 }
 
@@ -143,44 +144,77 @@ func (g *Graph) Eccentricity(v int) int {
 	return max
 }
 
-// Diameter returns the exact diameter: the largest eccentricity, found by a
-// BFS from every vertex. The sources are spread over GOMAXPROCS workers,
-// each reusing one scratch BFS, so the searches allocate nothing; the
-// maximum does not depend on which worker saw it. It panics, on the
-// caller's goroutine, if the graph is disconnected.
+// Diameter returns the exact diameter, the largest eccentricity, by the
+// bounding search of Takes and Kosters ("Determining the diameter of small
+// world networks", CIKM 2011). A BFS from v bounds every vertex w at
+// distance d by max(d, ecc(v)−d) ≤ ecc(w) ≤ ecc(v)+d, and the diameter by
+// ecc(v) ≤ D ≤ 2·ecc(v). The search keeps each candidate's tightest bounds,
+// drops a candidate once its upper bound cannot beat the largest
+// eccentricity found, and stops when no candidate is left or the diameter's
+// bounds meet. Sources alternate between the candidate with the largest
+// upper bound and the one with the smallest lower bound, ties going to the
+// higher degree and then the lower index. On small-world and grid graphs a
+// handful of searches settle every vertex; a vertex-transitive graph such
+// as a ring or a complete graph still needs one per vertex. It panics if
+// the graph is disconnected.
 func (g *Graph) Diameter() int {
 	n := len(g.adj)
-	if !g.IsConnected() {
+	s := newBFSScratch(n)
+	s.run(g, 0, -1)
+	if len(s.queue) != n {
 		panic("graph: eccentricity of a disconnected graph")
 	}
-	workers := min(runtime.GOMAXPROCS(0), n)
-	best := make([]int32, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := range best {
-		go func() {
-			defer wg.Done()
-			s := newBFSScratch(n)
-			for {
-				lo := int(next.Add(diameterChunk)) - diameterChunk
-				if lo >= n {
-					return
-				}
-				for v := lo; v < min(lo+diameterChunk, n); v++ {
-					s.run(g, v, -1)
-					best[w] = max(best[w], s.dist[s.queue[len(s.queue)-1]])
-					s.reset()
-				}
-			}
-		}()
+	s.reset()
+	lower, upper := make([]int32, n), make([]int32, n)
+	cand := make([]int32, n)
+	for v := range cand {
+		cand[v], upper[v] = int32(v), math.MaxInt32
 	}
-	wg.Wait()
-	return int(slices.Max(best))
+	best, bound := int32(0), int32(math.MaxInt32)
+	// hi and lo are the candidates with the largest upper and the smallest
+	// lower bound; the first source is the highest-degree vertex.
+	var hi, lo int32
+	for v := range cand {
+		if len(g.adj[v]) > len(g.adj[hi]) {
+			hi = int32(v)
+		}
+	}
+	for pickHi := true; len(cand) > 0 && best < bound; pickHi = !pickHi {
+		v := lo
+		if pickHi {
+			v = hi
+		}
+		s.run(g, int(v), -1)
+		ecc := s.dist[s.queue[len(s.queue)-1]]
+		best, bound = max(best, ecc), min(bound, 2*ecc)
+		kept := cand[:0]
+		for _, w := range cand {
+			d := s.dist[w]
+			lower[w] = max(lower[w], d, ecc-d)
+			upper[w] = min(upper[w], ecc+d)
+			if upper[w] <= best {
+				continue
+			}
+			if len(kept) == 0 || g.ahead(w, hi, upper[w]-upper[hi]) {
+				hi = w
+			}
+			if len(kept) == 0 || g.ahead(w, lo, lower[lo]-lower[w]) {
+				lo = w
+			}
+			kept = append(kept, w)
+		}
+		s.reset()
+		cand = kept
+	}
+	return int(best)
 }
 
-// diameterChunk is how many BFS sources a Diameter worker claims at once.
-const diameterChunk = 16
+// ahead reports whether the bounding search prefers w over v as its next
+// source, given by how much w's bound beats v's; ties go to the higher
+// degree, then to the vertex already chosen.
+func (g *Graph) ahead(w, v, by int32) bool {
+	return by > 0 || by == 0 && len(g.adj[w]) > len(g.adj[v])
+}
 
 // bfsScratch is one reusable breadth-first search: queue lists the reached
 // vertices in BFS order, so the last one is the farthest, and dist holds
@@ -224,6 +258,63 @@ func (s *bfsScratch) reset() {
 		s.dist[v] = -1
 	}
 	s.queue = s.queue[:0]
+}
+
+// Ports is a graph's port numbering in compressed sparse row form, the
+// layout a message-passing engine routes over: vertex v's ports
+// 0 … deg(v)−1 are the slots Start[v] … Start[v+1]−1 of the flat edge
+// arrays, in neighbor-list order.
+type Ports struct {
+	Start []int32 // len N()+1: port-slot offsets
+	Dst   []int32 // per directed edge (v, port): the neighbor vertex
+	// RevPort is, per directed edge (v, port)→u, the port index of v in
+	// u's neighbor list — where a message sent by v on that port lands.
+	RevPort   []int32
+	MaxDegree int
+}
+
+// Ports returns g's port tables. They are built on first use and kept on
+// the graph until its next AddEdge, so the thousands of simulations a trial
+// loop runs on one graph build them once, and they are collected with the
+// graph. Ports is safe for concurrent use; the tables must not be modified.
+func (g *Graph) Ports() *Ports {
+	if p := g.ports.Load(); p != nil {
+		return p
+	}
+	p := g.buildPorts()
+	if !g.ports.CompareAndSwap(nil, p) {
+		return g.ports.Load()
+	}
+	return p
+}
+
+func (g *Graph) buildPorts() *Ports {
+	n := len(g.adj)
+	p := &Ports{Start: make([]int32, n+1)}
+	total := 0
+	for v, nb := range g.adj {
+		p.Start[v] = int32(total)
+		total += len(nb)
+		p.MaxDegree = max(p.MaxDegree, len(nb))
+	}
+	p.Start[n] = int32(total)
+	p.Dst = make([]int32, total)
+	p.RevPort = make([]int32, total)
+	// portAt[u<<32|w] is w's port index in u's neighbor list.
+	portAt := make(map[uint64]int32, total)
+	for u, nb := range g.adj {
+		for i, w := range nb {
+			portAt[uint64(u)<<32|uint64(uint32(w))] = int32(i)
+		}
+	}
+	for v, nb := range g.adj {
+		base := p.Start[v]
+		for i, u := range nb {
+			p.Dst[base+int32(i)] = int32(u)
+			p.RevPort[base+int32(i)] = portAt[uint64(u)<<32|uint64(uint32(v))]
+		}
+	}
+	return p
 }
 
 // Power returns G^r: vertices are the same and {u, v} is an edge iff their

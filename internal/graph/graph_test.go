@@ -1,8 +1,9 @@
 package graph
 
 import (
-	"runtime"
+	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -223,52 +224,119 @@ func generatorFamilies() []*Graph {
 	}
 }
 
-// atProcs runs f with GOMAXPROCS set to each of 1, 2 and 8: the worker
-// counts Diameter's parallel sweep must not depend on.
-func atProcs(t *testing.T, f func(procs int)) {
+// boundingWorstCases adds to generatorFamilies' odd ring and complete
+// graph the graphs on which the bounding search prunes little or must
+// break ties: vertex-transitive ones (an even ring, a hypercube), where
+// every vertex needs its own BFS, and ones whose eccentricities are spread
+// wide (barbell, lollipop, random trees).
+func boundingWorstCases(t *testing.T) []*Graph {
 	t.Helper()
-	for _, procs := range []int{1, 2, 8} {
-		prev := runtime.GOMAXPROCS(procs)
-		f(procs)
-		runtime.GOMAXPROCS(prev)
+	gs := []*Graph{NewRing(40), hypercube(t, 6), barbell(t, 8, 5), lollipop(t, 9, 12)}
+	for seed := uint64(1); seed <= 5; seed++ {
+		gs = append(gs, NewRandomConnected(80, 0, seed))
+	}
+	return gs
+}
+
+// hypercube returns the d-dimensional hypercube Q_d (diameter d).
+func hypercube(t *testing.T, d int) *Graph {
+	g := New(1<<d, fmt.Sprintf("hypercube(%d)", d))
+	for v := 0; v < 1<<d; v++ {
+		for b := 0; b < d; b++ {
+			if w := v ^ 1<<b; w > v {
+				addEdges(t, g, [2]int{v, w})
+			}
+		}
+	}
+	return g
+}
+
+// barbell returns two K_m joined by a path of p inner vertices.
+func barbell(t *testing.T, m, p int) *Graph {
+	g := New(2*m+p, fmt.Sprintf("barbell(%d,%d)", m, p))
+	clique(t, g, 0, m)
+	clique(t, g, m+p, m)
+	for v := m - 1; v < m+p; v++ {
+		addEdges(t, g, [2]int{v, v + 1})
+	}
+	return g
+}
+
+// lollipop returns K_m with a path of p vertices hanging off vertex m−1.
+func lollipop(t *testing.T, m, p int) *Graph {
+	g := New(m+p, fmt.Sprintf("lollipop(%d,%d)", m, p))
+	clique(t, g, 0, m)
+	for v := m - 1; v+1 < m+p; v++ {
+		addEdges(t, g, [2]int{v, v + 1})
+	}
+	return g
+}
+
+func clique(t *testing.T, g *Graph, lo, m int) {
+	for u := lo; u < lo+m; u++ {
+		for v := u + 1; v < lo+m; v++ {
+			addEdges(t, g, [2]int{u, v})
+		}
 	}
 }
 
-// TestDiameterMatchesEccentricities checks the parallel scratch-BFS
-// Diameter against the largest per-vertex Eccentricity, which runs the
-// plain BFS.
+func addEdges(t *testing.T, g *Graph, edges ...[2]int) {
+	t.Helper()
+	for _, e := range edges {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// maxEccentricity is the all-pairs diameter: the largest eccentricity,
+// each from the plain BFS.
+func maxEccentricity(g *Graph) int {
+	want := 0
+	for v := 0; v < g.N(); v++ {
+		want = max(want, g.Eccentricity(v))
+	}
+	return want
+}
+
+// TestDiameterMatchesEccentricities checks the bounding-search Diameter
+// against the all-pairs maximum eccentricity on every generator and on the
+// bounding search's worst cases.
 func TestDiameterMatchesEccentricities(t *testing.T) {
-	atProcs(t, func(procs int) {
-		for _, g := range generatorFamilies() {
-			want := 0
-			for v := 0; v < g.N(); v++ {
-				want = max(want, g.Eccentricity(v))
-			}
-			if got := g.Diameter(); got != want {
-				t.Errorf("GOMAXPROCS=%d %s: Diameter = %d, max eccentricity %d", procs, g.Name(), got, want)
-			}
+	for _, g := range append(generatorFamilies(), boundingWorstCases(t)...) {
+		if got, want := g.Diameter(), maxEccentricity(g); got != want {
+			t.Errorf("%s: Diameter = %d, max eccentricity %d", g.Name(), got, want)
+		}
+	}
+}
+
+// FuzzDiameter checks the bounding-search Diameter against the all-pairs
+// maximum eccentricity on random connected graphs: a random attachment
+// tree plus independent extra edges, from trees to dense graphs.
+func FuzzDiameter(f *testing.F) {
+	f.Add(uint64(1), uint8(60), uint8(8))
+	f.Add(uint64(2), uint8(1), uint8(0))
+	f.Add(uint64(3), uint8(120), uint8(0))
+	f.Add(uint64(4), uint8(30), uint8(255))
+	f.Fuzz(func(t *testing.T, seed uint64, kRaw, pRaw uint8) {
+		g := NewRandomConnected(int(kRaw)%150+1, float64(pRaw)/255, seed)
+		if got, want := g.Diameter(), maxEccentricity(g); got != want {
+			t.Fatalf("%s seed %d: Diameter = %d, max eccentricity %d", g.Name(), seed, got, want)
 		}
 	})
 }
 
 // TestDiameterDisconnectedPanicsOnCaller checks that a disconnected graph
-// panics on the caller's goroutine, where recover sees it; a panic on a
-// worker goroutine would kill the test binary instead.
+// panics on the caller's goroutine, where recover sees it.
 func TestDiameterDisconnectedPanicsOnCaller(t *testing.T) {
 	g := New(6, "two paths")
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
+	addEdges(t, g, [2]int{0, 1}, [2]int{1, 2}, [2]int{3, 4}, [2]int{4, 5})
+	defer func() {
+		if recover() == nil {
+			t.Error("disconnected Diameter did not panic")
 		}
-	}
-	atProcs(t, func(procs int) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("GOMAXPROCS=%d: disconnected Diameter did not panic", procs)
-			}
-		}()
-		g.Diameter()
-	})
+	}()
+	g.Diameter()
 }
 
 // TestPowerMatchesDistances checks the scratch-BFS Power against the plain
@@ -347,5 +415,38 @@ func BenchmarkPowerGraph(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.Power(3)
+	}
+}
+
+// TestPortsConcurrentFirstUse checks that goroutines racing to build a
+// fresh graph's port tables all get the one table that won, and that
+// AddEdge drops it.
+func TestPortsConcurrentFirstUse(t *testing.T) {
+	g := NewRandomConnected(200, 0.05, 3)
+	got := make([]*Ports, 8)
+	var wg sync.WaitGroup
+	wg.Add(len(got))
+	for i := range got {
+		go func() {
+			defer wg.Done()
+			got[i] = g.Ports()
+		}()
+	}
+	wg.Wait()
+	for i, p := range got {
+		if p != got[0] {
+			t.Fatalf("goroutine %d got a different port table", i)
+		}
+	}
+	if g.Ports() != got[0] {
+		t.Fatal("port table rebuilt for an unchanged graph")
+	}
+	u, v := 0, 1
+	for g.HasEdge(u, v) {
+		v++
+	}
+	addEdges(t, g, [2]int{u, v})
+	if p := g.Ports(); p == got[0] || int(p.Start[g.N()]) != 2*g.NumEdges() {
+		t.Fatal("AddEdge did not drop the port table")
 	}
 }

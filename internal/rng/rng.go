@@ -84,6 +84,53 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
+// Stepper is a register copy of an RNG's state, for sampling kernels that
+// draw a block of values in one call: Load it from an RNG, step it as a
+// local — the compiler keeps the four words in registers instead of going
+// through the generator's memory on every draw — and Store it back. A
+// Stepper draws RNG's stream bit for bit, and it is the same hazard as a
+// shared *RNG: a copy handed to another goroutine duplicates the stream.
+type Stepper struct {
+	s0, s1, s2, s3 uint64
+}
+
+// Load returns a register copy of r's state.
+func (r *RNG) Load() Stepper {
+	return Stepper{r.s[0], r.s[1], r.s[2], r.s[3]}
+}
+
+// Store writes st back into r, which continues the stream where st left it.
+func (r *RNG) Store(st Stepper) {
+	r.s = [4]uint64{st.s0, st.s1, st.s2, st.s3}
+}
+
+// Uint64 returns the next 64 bits, exactly as RNG.Uint64 would.
+func (st *Stepper) Uint64() uint64 {
+	s0, s1 := st.s0, st.s1
+	a, b := st.s2^s0, st.s3^s1
+	result := bits.RotateLeft64(s0+st.s3, 23) + s0
+	*st = Stepper{s0 ^ b, s1 ^ a, a ^ s1<<17, bits.RotateLeft64(b, 45)}
+	return result
+}
+
+// Uint64nRetry finishes a bounded draw in [0, n) whose first product fell
+// below n, consuming the stream exactly as RNG.Uint64n does. A whole
+// Uint64n is too large for the compiler to inline, so kernels inline its
+// common path and call this only on the rare (probability < n/2^64)
+// rejection branch:
+//
+//	hi, lo := bits.Mul64(st.Uint64(), n)
+//	if lo < n {
+//		hi = st.Uint64nRetry(n, hi, lo)
+//	}
+func (st *Stepper) Uint64nRetry(n, hi, lo uint64) uint64 {
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(st.Uint64(), n)
+	}
+	return hi
+}
+
 // Intn returns a uniformly distributed integer in [0, n). It panics if
 // n <= 0.
 func (r *RNG) Intn(n int) int {

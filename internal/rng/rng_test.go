@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -255,6 +256,36 @@ func TestSeedAtMatchesAt(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		if r.Uint64() != want.Uint64() {
 			t.Fatal("SeedAt diverges from At")
+		}
+	}
+}
+
+// TestStepperMatchesRNG checks that a Stepper loaded from a generator draws
+// its stream bit for bit — raw words and bounded draws through the inlined
+// common path and Uint64nRetry, including bounds whose rejection window is
+// large — and that storing it back leaves the generator where the scalar
+// draws would have.
+func TestStepperMatchesRNG(t *testing.T) {
+	bounds := []uint64{1, 2, 3, 7, 1 << 16, 1<<63 + 1, 3 << 62, math.MaxUint64}
+	for seed := uint64(0); seed < 50; seed++ {
+		want, r := New(seed), New(seed)
+		st := r.Load()
+		for i := 0; i < 200; i++ {
+			if got, w := st.Uint64(), want.Uint64(); got != w {
+				t.Fatalf("seed %d draw %d: Stepper.Uint64 %d, RNG.Uint64 %d", seed, i, got, w)
+			}
+			n := bounds[i%len(bounds)]
+			hi, lo := bits.Mul64(st.Uint64(), n)
+			if lo < n {
+				hi = st.Uint64nRetry(n, hi, lo)
+			}
+			if w := want.Uint64n(n); hi != w {
+				t.Fatalf("seed %d draw %d: bounded draw in [0,%d) = %d, Uint64n %d", seed, i, n, hi, w)
+			}
+		}
+		r.Store(st)
+		if *r != *want {
+			t.Fatalf("seed %d: stored state %v, want %v", seed, r.s, want.s)
 		}
 	}
 }

@@ -33,98 +33,16 @@ import (
 //     (copy-on-deliver), so a sender reusing or mutating its outbox buffer
 //     after Round returns cannot corrupt a neighbor's inbox.
 //
-// Steady-state allocation. The per-topology CSR tables (adjacency, reverse
-// ports) are compiled once and cached across runs, and so are finished
-// engines, pooled per topology. Inboxes are compact delivery slots sized by
-// total degree over double-buffered payload arenas, so routing appends
-// never allocate once the payload arenas have grown to the peak round
-// volume; a run allocates only its nodes' contexts (one slab) and
-// generators. The duplicate-port check is a degree-bounded bitset cleared
-// by re-walking the node's outbox, and the active set is compacted in
-// place so late rounds only touch live nodes.
-
-// topology is the CSR-flattened form of a graph: node v's ports are the
-// slots start[v] … start[v+1]−1 of the flat edge arrays.
-type topology struct {
-	n     int
-	start []int32 // len n+1: port-slot offsets
-	dst   []int32 // per directed edge: the neighbor vertex
-	// revPort is, per directed edge (v, port)→u, the port index of v in
-	// u's neighbor list — where a message sent by v on that port lands.
-	revPort []int32
-	maxDeg  int
-	// engines pools finished engines for reuse by later runs on the graph.
-	engines sync.Pool
-}
-
-// edges returns the directed edge count (Σ degrees).
-func (t *topology) edges() int { return int(t.start[t.n]) }
-
-// degree returns node v's degree.
-func (t *topology) degree(v int) int { return int(t.start[v+1] - t.start[v]) }
-
-// compileTopology builds the CSR tables for g.
-func compileTopology(g *graph.Graph) *topology {
-	n := g.N()
-	t := &topology{n: n, start: make([]int32, n+1)}
-	total := 0
-	for v := 0; v < n; v++ {
-		t.start[v] = int32(total)
-		d := g.Degree(v)
-		total += d
-		if d > t.maxDeg {
-			t.maxDeg = d
-		}
-	}
-	t.start[n] = int32(total)
-	t.dst = make([]int32, total)
-	t.revPort = make([]int32, total)
-	// portAt[u<<32|w] is w's port index in u's neighbor list.
-	portAt := make(map[uint64]int32, total)
-	for u := 0; u < n; u++ {
-		for i, w := range g.Neighbors(u) {
-			portAt[uint64(u)<<32|uint64(uint32(w))] = int32(i)
-		}
-	}
-	for v := 0; v < n; v++ {
-		base := t.start[v]
-		for i, u := range g.Neighbors(v) {
-			t.dst[base+int32(i)] = int32(u)
-			t.revPort[base+int32(i)] = portAt[uint64(u)<<32|uint64(uint32(v))]
-		}
-	}
-	return t
-}
-
-// topoCache memoizes compiled topologies per *graph.Graph so trial loops
-// (thousands of Runs on one graph) compile the CSR tables once. Entries are
-// validated against the graph's current shape, so a graph mutated after
-// caching is recompiled rather than simulated stale. The cache is bounded:
-// when it exceeds topoCacheLimit distinct graphs it is reset wholesale,
-// which keeps long fuzzing sessions from accumulating dead tables.
-const topoCacheLimit = 64
-
-var (
-	topoMu    sync.RWMutex
-	topoCache = map[*graph.Graph]*topology{}
-)
-
-func topologyFor(g *graph.Graph) *topology {
-	topoMu.RLock()
-	t, ok := topoCache[g]
-	topoMu.RUnlock()
-	if ok && t.n == g.N() && t.edges() == 2*g.NumEdges() {
-		return t
-	}
-	t = compileTopology(g)
-	topoMu.Lock()
-	if len(topoCache) >= topoCacheLimit {
-		topoCache = map[*graph.Graph]*topology{}
-	}
-	topoCache[g] = t
-	topoMu.Unlock()
-	return t
-}
+// Steady-state allocation. The CSR port tables (adjacency, reverse ports)
+// are graph.Ports, built once per graph and kept on the graph itself, so
+// they die with it; finished engines are pooled package-wide and resized
+// on acquire. Inboxes are compact delivery slots sized by total degree over
+// double-buffered payload arenas, so routing appends never allocate once
+// the payload arenas have grown to the peak round volume; a run allocates
+// only its nodes' contexts (one slab) and generators. The duplicate-port
+// check is a degree-bounded bitset cleared by re-walking the node's outbox,
+// and the active set is compacted in place so late rounds only touch live
+// nodes.
 
 // nodeResult is one node's round output, written into an indexed slot by
 // whichever worker executed the node.
@@ -141,7 +59,7 @@ type delivery struct {
 
 // engine is the per-Run state of the flat round engine.
 type engine struct {
-	tp    *topology
+	tp    *graph.Ports
 	nodes []Node
 	cfg   Config
 
@@ -153,7 +71,7 @@ type engine struct {
 	box             []delivery
 	boxCnt          []int32
 	payCur, payNext []byte
-	// inboxes[w] is execution worker w's maxDeg-entry scratch, into which
+	// inboxes[w] is execution worker w's MaxDegree-entry scratch, into which
 	// runNode expands a node's slots just before its Round.
 	inboxes [][]PortMessage
 
@@ -167,8 +85,8 @@ type engine struct {
 
 // run executes the simulation; see Run for the contract.
 func (e *engine) run() (Stats, error) {
-	tp, cfg := e.tp, e.cfg
-	k := tp.n
+	cfg := e.cfg
+	k := len(e.nodes)
 	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = 10*k + 1000
@@ -222,7 +140,7 @@ func (e *engine) execRound() {
 		workers = n
 	}
 	for len(e.inboxes) < max(workers, 1) {
-		e.inboxes = append(e.inboxes, make([]PortMessage, e.tp.maxDeg))
+		e.inboxes = append(e.inboxes, make([]PortMessage, e.tp.MaxDegree))
 	}
 	if workers <= 1 {
 		for _, v := range e.activeList {
@@ -273,7 +191,7 @@ func engineChunk(n, workers int) int {
 // its round. The scratch serves the worker's next node before routing, so
 // an outbox that aliases the inbox is copied out first.
 func (e *engine) runNode(v int, scratch []PortMessage) {
-	lo := e.tp.start[v]
+	lo := e.tp.Start[v]
 	n := e.boxCnt[v]
 	in := scratch[:n:n]
 	for i, d := range e.box[lo : lo+n] {
@@ -306,7 +224,7 @@ func aliases(out, in []PortMessage) bool {
 // the legacy engine exactly.
 func (e *engine) route(v int, out []PortMessage, stats *Stats) error {
 	tp, cfg := e.tp, e.cfg
-	deg := tp.degree(v)
+	deg := int(tp.Start[v+1] - tp.Start[v])
 	routed := 0
 	var err error
 	for _, m := range out {
@@ -325,8 +243,8 @@ func (e *engine) route(v int, out []PortMessage, stats *Stats) error {
 				ErrBandwidthExceeded, v, len(m.Payload), cfg.MaxBytesPerMessage)
 			break
 		}
-		ei := tp.start[v] + int32(m.Port)
-		d := tp.dst[ei]
+		ei := tp.Start[v] + int32(m.Port)
+		d := tp.Dst[ei]
 		if !e.active[d] {
 			continue // delivered into the void: dst already halted
 		}
@@ -335,7 +253,7 @@ func (e *engine) route(v int, out []PortMessage, stats *Stats) error {
 		off := len(e.payNext)
 		e.payNext = append(e.payNext, m.Payload...)
 		payload := e.payNext[off : off+len(m.Payload) : off+len(m.Payload)]
-		e.box[tp.start[d]+e.boxCnt[d]] = delivery{port: tp.revPort[ei], off: int32(off), n: int32(len(m.Payload))}
+		e.box[tp.Start[d]+e.boxCnt[d]] = delivery{port: tp.RevPort[ei], off: int32(off), n: int32(len(m.Payload))}
 		e.boxCnt[d]++
 		if cfg.Tracer != nil {
 			cfg.Tracer.OnMessage(stats.Rounds, v, int(d), payload)
@@ -359,54 +277,72 @@ func runFlat(g *graph.Graph, nodes []Node, cfg Config) (Stats, error) {
 	if len(nodes) != k {
 		return Stats{}, fmt.Errorf("simnet: %d nodes for %d vertices", len(nodes), k)
 	}
-	tp := topologyFor(g)
 	ctxs := make([]Context, k)
 	root := rng.New(cfg.Seed)
 	for v := 0; v < k; v++ {
-		ctxs[v] = Context{ID: v, Degree: tp.degree(v), NumNodes: k, RNG: root.Split()}
+		ctxs[v] = Context{ID: v, Degree: g.Degree(v), NumNodes: k, RNG: root.Split()}
 		nodes[v].Init(&ctxs[v])
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := tp.acquire()
-	defer tp.release(e)
+	e := acquireEngine(g.Ports())
+	defer releaseEngine(e)
 	e.nodes, e.cfg, e.workers = nodes, cfg, workers
 	return e.run()
 }
 
-// acquire returns a pooled engine for tp, or a new one, with every node
-// active and empty inboxes. Trial loops run thousands of simulations on one
-// graph; reusing the arenas keeps them from allocating per run.
-func (tp *topology) acquire() *engine {
-	e, _ := tp.engines.Get().(*engine)
+// engines pools finished engines across runs and graphs. Trial loops run
+// thousands of simulations on one graph; reusing the arenas keeps them from
+// allocating per run, and the pool drops what the GC finds idle.
+var engines sync.Pool
+
+// acquireEngine returns a pooled engine, or a new one, sized for tp, with
+// every node active and empty inboxes.
+func acquireEngine(tp *graph.Ports) *engine {
+	e, _ := engines.Get().(*engine)
 	if e == nil {
-		k := tp.n
-		e = &engine{
-			tp:         tp,
-			box:        make([]delivery, tp.edges()),
-			boxCnt:     make([]int32, k),
-			results:    make([]nodeResult, k),
-			active:     make([]bool, k),
-			activeList: make([]int32, 0, k),
-			dupBits:    make([]uint64, (tp.maxDeg+64)/64+1),
+		e = &engine{}
+	}
+	k := len(tp.Start) - 1
+	e.tp = tp
+	e.box = resized(e.box, int(tp.Start[k]))
+	e.boxCnt = resized(e.boxCnt, k)
+	e.results = resized(e.results, k)
+	e.active = resized(e.active, k)
+	// The bitset is all zero between runs: route clears every bit it sets.
+	e.dupBits = resized(e.dupBits, (tp.MaxDegree+64)/64+1)
+	for i, in := range e.inboxes {
+		if len(in) < tp.MaxDegree {
+			e.inboxes = e.inboxes[:i] // execRound regrows them
+			break
 		}
 	}
-	clear(e.boxCnt)
 	e.payCur = e.payCur[:0]
 	e.activeList = e.activeList[:0]
-	for v := 0; v < tp.n; v++ {
+	for v := 0; v < k; v++ {
 		e.active[v] = true
 		e.activeList = append(e.activeList, int32(v))
 	}
 	return e
 }
 
-// release drops e's references to the run's nodes, tracer and outboxes and
-// returns it to tp's pool.
-func (tp *topology) release(e *engine) {
-	e.nodes, e.cfg = nil, Config{}
+// releaseEngine drops e's references to the run's graph, nodes, tracer and
+// outboxes and returns it to the pool.
+func releaseEngine(e *engine) {
+	e.tp, e.nodes, e.cfg = nil, nil, Config{}
 	clear(e.results)
-	tp.engines.Put(e)
+	engines.Put(e)
+}
+
+// resized returns s with length n and every element zero, reusing its
+// array when it is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -3,6 +3,7 @@ package simnet
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/unifdist/unifdist/internal/graph"
@@ -306,45 +307,95 @@ func TestPayloadCopiedOnDeliver(t *testing.T) {
 }
 
 // TestTopologyCacheReusedAndValidated checks that repeated runs on one
-// graph reuse the compiled CSR tables, and that mutating the graph between
-// runs triggers recompilation instead of a stale simulation.
+// graph reuse its port tables, and that mutating the graph between runs
+// rebuilds them instead of simulating a stale topology.
 func TestTopologyCacheReusedAndValidated(t *testing.T) {
 	g := graph.NewLine(4)
-	t1 := topologyFor(g)
-	if t2 := topologyFor(g); t2 != t1 {
-		t.Fatal("topology recompiled for an unchanged graph")
+	flood := func() Stats {
+		t.Helper()
+		nodes := make([]Node, g.N())
+		for j := range nodes {
+			nodes[j] = &floodMax{limit: 4}
+		}
+		stats, err := Run(g, nodes, Config{MaxBytesPerMessage: 16, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	flood()
+	t1 := g.Ports()
+	flood()
+	if t2 := g.Ports(); t2 != t1 {
+		t.Fatal("port tables rebuilt for an unchanged graph")
 	}
 	if err := g.AddEdge(0, 3); err != nil {
 		t.Fatal(err)
 	}
-	t3 := topologyFor(g)
-	if t3 == t1 {
-		t.Fatal("stale topology served after the graph gained an edge")
+	if got := flood(); got.Messages != 4*2*g.NumEdges() {
+		t.Fatalf("flood on the mutated graph sent %d messages, want %d: stale tables", got.Messages, 4*2*g.NumEdges())
 	}
-	if t3.degree(0) != 2 || t3.degree(3) != 2 {
-		t.Fatalf("recompiled topology wrong: deg(0)=%d deg(3)=%d", t3.degree(0), t3.degree(3))
+	t3 := g.Ports()
+	if t3 == t1 {
+		t.Fatal("stale port tables served after the graph gained an edge")
+	}
+	if deg := t3.Start[1] - t3.Start[0]; deg != 2 {
+		t.Fatalf("rebuilt tables wrong: deg(0)=%d, want 2", deg)
 	}
 }
 
-// TestCompileTopologyRoundTrip checks the CSR tables against the graph's
-// own adjacency: dst matches the neighbor lists and revPort inverts them.
+// TestRunDoesNotPinGraph checks that a graph run through Run and then
+// dropped is collected: neither its port tables nor the pooled engine keep
+// it alive. The finalizer is polled after each forced collection, with no
+// wall-clock bound.
+func TestRunDoesNotPinGraph(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		g := graph.NewRing(64)
+		runtime.SetFinalizer(g, func(*graph.Graph) { close(collected) })
+		nodes := make([]Node, g.N())
+		for j := range nodes {
+			nodes[j] = &floodMax{limit: 33}
+		}
+		if _, err := Run(g, nodes, Config{MaxBytesPerMessage: 16, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for range 100 {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		default:
+			runtime.Gosched()
+		}
+	}
+	t.Fatal("graph still reachable after 100 collections")
+}
+
+// TestCompileTopologyRoundTrip checks the port tables the engine routes
+// over against the graph's own adjacency: Dst matches the neighbor lists
+// and RevPort inverts them.
 func TestCompileTopologyRoundTrip(t *testing.T) {
 	for _, g := range diffTopologies() {
-		tp := compileTopology(g)
-		if tp.edges() != 2*g.NumEdges() {
-			t.Fatalf("%s: %d directed edges, want %d", g.Name(), tp.edges(), 2*g.NumEdges())
+		tp := g.Ports()
+		if int(tp.Start[g.N()]) != 2*g.NumEdges() {
+			t.Fatalf("%s: %d directed edges, want %d", g.Name(), tp.Start[g.N()], 2*g.NumEdges())
 		}
 		for v := 0; v < g.N(); v++ {
 			nb := g.Neighbors(v)
-			if tp.degree(v) != len(nb) {
-				t.Fatalf("%s: degree(%d) = %d, want %d", g.Name(), v, tp.degree(v), len(nb))
+			if deg := int(tp.Start[v+1] - tp.Start[v]); deg != len(nb) {
+				t.Fatalf("%s: degree(%d) = %d, want %d", g.Name(), v, deg, len(nb))
+			}
+			if len(nb) > tp.MaxDegree {
+				t.Fatalf("%s: degree(%d) = %d above MaxDegree %d", g.Name(), v, len(nb), tp.MaxDegree)
 			}
 			for p, u := range nb {
-				ei := tp.start[v] + int32(p)
-				if int(tp.dst[ei]) != u {
-					t.Fatalf("%s: dst(%d,%d) = %d, want %d", g.Name(), v, p, tp.dst[ei], u)
+				ei := tp.Start[v] + int32(p)
+				if int(tp.Dst[ei]) != u {
+					t.Fatalf("%s: dst(%d,%d) = %d, want %d", g.Name(), v, p, tp.Dst[ei], u)
 				}
-				back := g.Neighbors(u)[tp.revPort[ei]]
+				back := g.Neighbors(u)[tp.RevPort[ei]]
 				if back != v {
 					t.Fatalf("%s: revPort(%d,%d) routes to %d, want %d", g.Name(), v, p, back, v)
 				}
